@@ -1,0 +1,122 @@
+"""Golden answer streams: the engine's output, pinned.
+
+`golden_answers.json` holds, for every program below, the first answers
+of its stream in order -- Δ (its `repr`, which carries variable ids, so
+the order of fresh variables is pinned too), provenance, the rendered
+store and the first labelling -- plus the type of any error the stream
+raised.  For `reschedule` it holds the returned ground answer.  No run
+has a time budget, so the streams do not depend on machine speed.
+
+A change to the search that keeps the answers must leave this file
+unchanged.  To re-record it (only when the answers are meant to change):
+
+    PYTHONPATH=src:tests python tests/test_golden.py
+"""
+
+import json
+import pathlib
+import random
+
+import pytest
+
+from aclp import (Config, compile_naf, parse_goal, parse_theory, reschedule,
+                  solve)
+from aclp.corpus import add_unavailability, generate_blocks, generate_jobshop
+
+from oracles import random_naf_program_text, random_theory_text
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_answers.json")
+ANSWERS = 3
+
+
+def _labelling(sol):
+    return None if sol is None else [[vid, repr(t)] for vid, t in sol.items()]
+
+
+def stream_record(theory, goal):
+    """The first answers of a solve with no time budget, and its error."""
+    out = {"answers": [], "error": None}
+    stream = solve(theory, goal, config=Config())
+    try:
+        for ans in stream:
+            out["answers"].append({
+                "delta": [repr(l) for l in ans.delta],
+                "provenance": list(ans.provenance),
+                "store": ans.store.render(),
+                "labelling": _labelling(next(ans.labellings(), None)),
+            })
+            if len(out["answers"]) == ANSWERS:
+                break
+    except Exception as exc:          # the error type is part of the record
+        out["error"] = type(exc).__name__
+    finally:
+        stream.close()
+    return out
+
+
+def reschedule_record(n, seed):
+    inst = generate_jobshop(n, seed)
+    goal = parse_goal(inst.goal_text)
+    ans = next(solve(parse_theory(inst.program), goal))
+    old = ans.ground_delta(next(ans.labellings(rng=random.Random(seed))))
+    changed = parse_theory(add_unavailability(inst, seed).program)
+    try:
+        best = reschedule(changed, goal, old, config=Config())
+    except Exception as exc:
+        return {"error": type(exc).__name__}
+    return {"delta": [repr(l) for l in best.delta], "changes": best.changes,
+            "labelling": _labelling(best.valuation), "error": None}
+
+
+def cases():
+    """(name, thunk) for every recorded program, in a fixed order."""
+    out = []
+    for seed in range(200):
+        text, goal = random_theory_text(random.Random(seed))
+        out.append((f"theory-{seed}", lambda text=text, goal=goal:
+                    stream_record(parse_theory(text), parse_goal(goal))))
+    for seed in range(50):
+        text, goal = random_naf_program_text(random.Random(seed))
+        if goal is None:
+            continue
+        out.append((f"naf-{seed}", lambda text=text, goal=goal: stream_record(
+            compile_naf(parse_theory(text), mode="autogenerate"),
+            parse_goal(goal))))
+    for n in (3, 4, 5):
+        inst = generate_blocks(n, 1)
+        out.append((f"blocks-{n}", lambda inst=inst: stream_record(
+            compile_naf(parse_theory(inst.program), mode="validate"),
+            parse_goal(inst.goal_text))))
+    for n in (10, 25):
+        inst = generate_jobshop(n, 1)
+        out.append((f"jobshop-{n}", lambda inst=inst: stream_record(
+            parse_theory(inst.program), parse_goal(inst.goal_text))))
+    for seed in (1, 2, 3):
+        out.append((f"reschedule-10-s{seed}",
+                    lambda seed=seed: reschedule_record(10, seed)))
+    return out
+
+
+def record():
+    return {name: run() for name, run in cases()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert list(golden) == [name for name, _ in cases()]
+
+
+@pytest.mark.parametrize("kind", ["theory", "naf", "blocks", "jobshop",
+                                  "reschedule"])
+def test_answer_streams_match_the_golden_record(golden, kind):
+    for name, run in cases():
+        if name.split("-")[0] == kind:
+            assert run() == golden[name], name
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(record(), indent=1, ensure_ascii=False) + "\n")
