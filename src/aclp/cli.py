@@ -112,7 +112,6 @@ def _cmd_solve(args) -> int:
             initial = tuple(_parse_literals(f.read()))
     config = Config(max_depth=args.max_depth,
                     ic_order=_IC_ORDERS[args.ic_order],
-                    label_strategy=_STRATEGIES[args.strategy],
                     time_budget=args.time_budget)
     strategy = _STRATEGIES[args.strategy]
 

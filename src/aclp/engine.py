@@ -1,7 +1,7 @@
 """The abductive proof procedure.
 
-Two interleaved derivations share one substitution, one hypothesis list and
-one constraint store:
+Two interleaved derivations share one substitution, one hypothesis list,
+one list of denials and one constraint store:
 
 * goal reduction (`_prove`): leftmost literal, depth-first, clause source
   order; constraints are posted to the store, abducibles are satisfied by
@@ -17,19 +17,28 @@ one constraint store:
   an abducible standing for negation-as-failure of a defined predicate is
   refuted by abductively proving the complement -- this is what forces
   action preconditions to be established in planning programs.
+
+Both derivations run in the caller's thread, driven by one loop in
+`Solver.solve` over an explicit stack of choice points (the state-based
+reading of ACLP in the A-System, with WAM-style choice points).  A step
+does a bounded amount of work and returns the step that continues the
+derivation, or None when it fails.  The continuation `k` handed to a step
+is what to do once its goal has been proved, or its conjunction failed.
+Every alternative left for later is a choice point: a `_mark()` of the
+shared state plus the step that tries it.  On failure the loop pops the
+newest choice point, restores its mark and runs its step.  The Python
+stack stays flat however deep a derivation goes; `Config.max_depth` and
+memory bound its depth.
 """
 
 from __future__ import annotations
 
-import queue
-import sys
-import threading
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass
 
-from .store import (And, ConstraintStore, Eq, Or, TermEq, TermNeq,
-                    constraint_vars, negate, resolve_constraint, AtomDomain,
-                    IntDomain)
+from .store import (And, ConstraintStore, Eq, Or, TermEq, constraint_vars,
+                    negate, resolve_constraint, AtomDomain, IntDomain)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
                     UnknownPredicateError, rename_conjunction,
@@ -54,8 +63,6 @@ class DepthLimitExceededError(AclpError):
 class Config:
     max_depth: int = 10000
     ic_order: str = "source"          # source | specific_first
-    label_strategy: str = "input_order"
-    max_answers: int = 64             # bound for answer-stream consumers
     default_lo: int = -10_000_000
     default_hi: int = 10_000_000
     time_budget: float = None         # wall-clock seconds per solve, or None
@@ -72,17 +79,6 @@ class Answer:
     delta: tuple                      # resolved hypothesis literals
     provenance: tuple
     store: ConstraintStore
-
-    def delta_vars(self):
-        from .terms import term_vars
-        seen, out = set(), []
-        for lit in self.delta:
-            for a in lit.args:
-                for v in term_vars(a):
-                    if v.id not in seen:
-                        seen.add(v.id)
-                        out.append(v)
-        return out
 
     def store_vars(self):
         out = []
@@ -132,6 +128,7 @@ class _Match:
 
 
 _BUILTINS = {("true", 0), ("fail", 0)}
+_ANSWER = object()   # the continuation of a finished derivation
 
 
 class Solver:
@@ -148,19 +145,27 @@ class Solver:
         self.depth_limit_hit = False
         self.budget_hit = False
         self.answers_emitted = 0
+        self.choices: list = []        # (mark, step) alternatives left to try
         self._deadline = None
         self._tick = 0
 
     # -- bookkeeping ---------------------------------------------------------
 
     def _mark(self):
-        return (self.subst.mark(), self.store.snapshot(), len(self.delta))
+        return (self.subst.mark(), self.store.snapshot(), len(self.delta),
+                len(self.denials))
 
     def _restore(self, mark):
-        smark, stmark, dlen = mark
+        smark, stmark, dlen, nlen = mark
         del self.delta[dlen:]
+        del self.denials[nlen:]
         self.store.restore(stmark)
         self.subst.undo_to(smark)
+
+    def _choice(self, step, mark=None):
+        """Leave `step` to be tried on backtracking, from `mark` (default:
+        the state now)."""
+        self.choices.append((self._mark() if mark is None else mark, step))
 
     def _is_local(self, v: Var) -> bool:
         return v.id in self.local_ids
@@ -218,39 +223,55 @@ class Solver:
         """Enumerate answers for a goal conjunction on backtracking.
 
         `initial` hypotheses are installed through the same consistency
-        check as fresh abductions before reduction starts.
+        check as fresh abductions before reduction starts.  The solver's
+        state is restored when the stream ends, fails or is closed.
         """
-        limit = max(sys.getrecursionlimit(), 8 * self.config.max_depth + 2000)
-        sys.setrecursionlimit(min(limit, 1_000_000))
         if self.config.time_budget is not None:
             self._deadline = time.monotonic() + self.config.time_budget
         goal = rename_conjunction(goal, self.counter)
-        for _ in self._install(list(initial), 0, goal):
-            answer = self._make_answer()
-            if answer is not None:
-                self.answers_emitted += 1
-                yield answer
+        base = self._mark()
+        step = lambda: self._install(list(initial), 0, goal, _ANSWER)
+        try:
+            while True:
+                if step is None:
+                    if not self.choices:
+                        break
+                    mark, step = self.choices.pop()
+                    self._restore(mark)
+                elif step is _ANSWER:
+                    step = None
+                    answer = self._make_answer()
+                    if answer is not None:
+                        self.answers_emitted += 1
+                        yield answer
+                else:
+                    step = step()
+        finally:
+            self.choices.clear()
+            self._restore(base)
         if self.depth_limit_hit and self.answers_emitted == 0:
             raise DepthLimitExceededError(self.config.max_depth)
 
-    def _install(self, initial, i, goal):
+    def _install(self, initial, i, goal, k):
         if i == len(initial):
-            yield from self._prove(goal, 0)
-            return
+            return self._prove(goal, 0, k)
         lit = initial[i]
         if not self.theory.is_abducible(lit.name, lit.arity):
             raise InitialHypothesisInconsistentError(lit)
-        mark = self._mark()
-        try:
-            self.delta.append(Hypothesis(lit, "initial"))
-            produced = False
-            for _ in self._consistency(lit, 0):
-                produced = True
-                yield from self._install(initial, i + 1, goal)
-        finally:
-            self._restore(mark)
-        if not produced and not self.budget_hit:
-            raise InitialHypothesisInconsistentError(lit)
+        produced = False
+
+        def installed():
+            nonlocal produced
+            produced = True
+            return self._install(initial, i + 1, goal, k)
+
+        def exhausted():
+            if not produced and not self.budget_hit:
+                raise InitialHypothesisInconsistentError(lit)
+
+        self._choice(exhausted)
+        self.delta.append(Hypothesis(lit, "initial"))
+        return self._consistency(lit, 0, installed)
 
     def _make_answer(self):
         delta = tuple(self._resolve_lit(h.lit) for h in self.delta)
@@ -287,61 +308,49 @@ class Solver:
             self.budget_hit = True
         return self.budget_hit
 
-    def _prove(self, goals, depth):
+    def _prove(self, goals, depth, k):
         if not self.store.consistent or self._out_of_time():
-            return
+            return None
         if not goals:
-            yield ()
-            return
+            return k
         if depth >= self.config.max_depth:
             self.depth_limit_hit = True
-            return
+            return None
         lit = self._resolve_lit(goals[0])
         rest = goals[1:]
+        proceed = lambda: self._prove(rest, depth + 1, k)
 
         if isinstance(lit, ConstraintLit):
-            mark = self._mark()
-            try:
-                if self._post(lit.constraint):
-                    yield from self._prove(rest, depth + 1)
-            finally:
-                self._restore(mark)
-            return
+            return proceed if self._post(lit.constraint) else None
 
         if isinstance(lit, DomainDecl):
-            mark = self._mark()
-            try:
-                if self._declare(lit):
-                    yield from self._prove(rest, depth + 1)
-            finally:
-                self._restore(mark)
-            return
+            return proceed if self._declare(lit) else None
 
         if isinstance(lit, NafLit):
             raise AclpError(f"uncompiled NAF literal {lit!r}; run compile_naf first")
 
         key = lit.indicator
         if key in _BUILTINS:
-            if lit.name == "true":
-                yield from self._prove(rest, depth + 1)
-            return
+            return proceed if lit.name == "true" else None
 
         if self.theory.is_abducible(*key):
-            yield from self._assume(lit, rest, depth)
-            return
+            return self._assume(lit, depth, proceed)
 
         if self.theory.is_defined(*key):
-            for clause in self.theory.clauses_for(*key):
-                renamed, _ = standardize_apart(clause, self.counter)
-                mark = self._mark()
-                try:
-                    if self._unify_args(renamed.head.args, lit.args):
-                        yield from self._prove(list(renamed.body) + rest, depth + 1)
-                finally:
-                    self._restore(mark)
-            return
+            return self._try_clause(self.theory.clauses_for(*key), 0, lit,
+                                    rest, depth, k)
 
         raise UnknownPredicateError(*key)
+
+    def _try_clause(self, clauses, i, lit, rest, depth, k):
+        """Resolve `lit` with clause i, leaving the later ones as a choice."""
+        if i + 1 < len(clauses):
+            self._choice(lambda: self._try_clause(clauses, i + 1, lit, rest,
+                                                  depth, k))
+        renamed, _ = standardize_apart(clauses[i], self.counter)
+        if not self._unify_args(renamed.head.args, lit.args):
+            return None
+        return lambda: self._prove(list(renamed.body) + rest, depth + 1, k)
 
     def _unify_args(self, args1, args2) -> bool:
         return all(unify_terms(a, b, self.subst, self.store)
@@ -373,34 +382,34 @@ class Solver:
 
     # -- abduction -----------------------------------------------------------
 
-    def _assume(self, lit: UserLit, rest, depth):
+    def _assume(self, lit: UserLit, depth, proceed):
+        reusable = [h for h in self.delta if h.lit.indicator == lit.indicator]
+
         # reuse existing hypotheses first, in insertion order
-        for h in list(self.delta):
-            if h.lit.indicator != lit.indicator:
-                continue
-            mark = self._mark()
-            try:
-                if self._unify_args(self._resolve_lit(h.lit).args, lit.args):
-                    yield from self._prove(rest, depth + 1)
-            finally:
-                self._restore(mark)
+        def reuse(j):
+            if j == len(reusable):
+                return assume()
+            self._choice(lambda: reuse(j + 1))
+            if self._unify_args(self._resolve_lit(reusable[j].lit).args,
+                                lit.args):
+                return proceed
+            return None
+
         # then assume a fresh one (skip exact duplicates: reuse covered them)
-        resolved = self._resolve_lit(lit)
-        if any(self._resolve_lit(h.lit) == resolved for h in self.delta):
-            return
-        mark = self._mark()
-        try:
+        def assume():
+            resolved = self._resolve_lit(lit)
+            if any(self._resolve_lit(h.lit) == resolved for h in self.delta):
+                return None
             self.delta.append(Hypothesis(resolved, "goal"))
-            for _ in self._consistency(resolved, depth):
-                yield from self._prove(rest, depth + 1)
-        finally:
-            self._restore(mark)
+            return self._consistency(resolved, depth, proceed)
+
+        return reuse(0)
 
     # -- consistency derivation ----------------------------------------------
 
-    def _consistency(self, hyp: UserLit, depth):
-        """Yield once per way of refuting every IC resolving with `hyp` and
-        re-establishing every denial it threatens."""
+    def _consistency(self, hyp: UserLit, depth, k):
+        """Continue with `k` once per way of refuting every IC resolving with
+        `hyp` and re-establishing every denial it threatens."""
         conjs = []
         for ic in self.ordered_ics:
             for pos, b in enumerate(ic.body):
@@ -418,76 +427,61 @@ class Solver:
                 continue
             fresh = self._fresh_locals([d_lit] + list(d_rest))
             conjs.append([_Match(fresh[0].args, hyp.args)] + fresh[1:])
-        yield from self._refute_all(conjs, 0, depth)
+        return self._refute_all(conjs, 0, depth, k)
 
-    def _refute_all(self, conjs, i, depth):
+    def _refute_all(self, conjs, i, depth, k):
         if i == len(conjs):
-            yield ()
-            return
-        for _ in self._fail_conj(conjs[i], depth):
-            yield from self._refute_all(conjs, i + 1, depth)
+            return k
+        return self._fail_conj(conjs[i], depth,
+                               lambda: self._refute_all(conjs, i + 1, depth, k))
 
-    def _fail_conj(self, goals, depth):
+    def _fail_conj(self, goals, depth, k):
         """Establish that the conjunction has no solution.
 
-        Yields once per way of doing so; may post constraints on non-local
-        variables as a side effect (undone on backtracking).
+        Continues with `k` once per way of doing so; may post constraints
+        on non-local variables as a side effect (undone on backtracking).
         """
         if not self.store.consistent:
-            yield ()
-            return
+            return k
         if self._out_of_time():
-            return
+            return None
         if not goals:
-            return  # conjunction succeeded: failure cannot be established
+            return None  # conjunction succeeded: failure cannot be established
         if depth >= self.config.max_depth:
             self.depth_limit_hit = True
-            return
+            return None
         item = goals[0]
         rest = goals[1:]
+        fail_rest = lambda: self._fail_conj(rest, depth + 1, k)
 
         if isinstance(item, _Match):
-            yield from self._fail_match(item, rest, depth)
-            return
+            return self._fail_match(item, fail_rest, k)
 
-        lit = self._resolve_lit(item) if not isinstance(item, _Match) else item
+        lit = self._resolve_lit(item)
 
         if isinstance(lit, ConstraintLit):
-            yield from self._fail_constraint(lit.constraint, rest, depth)
-            return
+            return self._fail_constraint(lit.constraint, fail_rest, k)
 
         if isinstance(lit, DomainDecl):
             # a domain declaration narrows; it fails only by emptying
             mark = self._mark()
-            declared = self._declare(lit)
-            if declared:
-                try:
-                    yield from self._fail_conj(rest, depth + 1)
-                finally:
-                    self._restore(mark)
-            else:
-                self._restore(mark)
-                yield ()
-            return
+            if self._declare(lit):
+                return fail_rest
+            self._restore(mark)
+            return k
 
         if isinstance(lit, NafLit):
             raise AclpError(f"uncompiled NAF literal {lit!r} in integrity constraint")
 
         key = lit.indicator
         if key in _BUILTINS:
-            if lit.name == "fail":
-                yield ()
-            else:
-                yield from self._fail_conj(rest, depth + 1)
-            return
+            return k if lit.name == "fail" else fail_rest
 
         if self.theory.is_abducible(*key):
             comp = self.theory.naf_complements.get(key)
             if comp is not None and self.theory.is_defined(*comp):
-                yield from self._fail_naf(lit, comp, rest, depth)
-            else:
-                yield from self._fail_abducible(lit, rest, depth)
-            return
+                return self._fail_naf(lit, comp, fail_rest, depth, k)
+            return self._fail_abducible(lit, rest, depth, k)
 
         if self.theory.is_defined(*key):
             resolutions = []
@@ -497,46 +491,33 @@ class Solver:
                 fresh = self._fresh_locals([lit] + list(rest))
                 resolutions.append([_Match(renamed.head.args, fresh[0].args)]
                                    + list(renamed.body) + fresh[1:])
-            yield from self._refute_all(resolutions, 0, depth + 1)
-            return
+            return self._refute_all(resolutions, 0, depth + 1, k)
 
         # unknown, non-abducible: no way to succeed, so the conjunction fails
-        yield ()
+        return k
 
-    def _fail_match(self, item: _Match, rest, depth):
+    def _fail_match(self, item: _Match, fail_rest, k):
         mark = self._mark()
         ok, caps, bound = self._capture_unify(item.a, item.b)
-        self._restore(mark)
         if not ok:
-            yield ()  # structurally impossible match
-            return
+            self._restore(mark)
+            return k  # structurally impossible match
         gcaps = self._project_caps(caps) if all(
             self._is_local(v) for v in bound) else None
-        mark = self._mark()
-        ok2, caps2, _ = self._capture_unify(item.a, item.b)
-        posted = ok2 and all(self.store.post(c) for c in caps2)
-        if posted:
-            try:
-                yield from self._fail_conj(rest, depth + 1)
-            finally:
-                self._restore(mark)
-        else:
+        if not all(self.store.post(c) for c in caps):
             # the match is unsatisfiable in the current store
             self._restore(mark)
-            yield ()
-            return
+            return k
         if gcaps:
-            # rejection branch: the match is impossible exactly when some
-            # all-global captured equality is violated
+            # rejection branch, tried from before the match: the match is
+            # impossible exactly when some all-global captured equality is
+            # violated
             folded = gcaps[0]
             for c in gcaps[1:]:
                 folded = And(folded, c)
-            mark = self._mark()
-            try:
-                if self.store.post(negate(folded)):
-                    yield ()
-            finally:
-                self._restore(mark)
+            self._choice(lambda: k if self.store.post(negate(folded)) else None,
+                         mark)
+        return fail_rest
 
     def _project_caps(self, caps):
         """Project captured equalities onto the global variables.
@@ -547,7 +528,6 @@ class Solver:
         violated.  Returns the global caps, or None when the projection
         is not exact (a local cap that actually constrains the globals).
         """
-        from collections import Counter
         occurrences = Counter(v.id for c in caps for v in constraint_vars(c)
                               if self._is_local(v))
         gcaps = []
@@ -584,72 +564,56 @@ class Solver:
                 return None
         return gcaps or None
 
-    def _fail_constraint(self, c, rest, depth):
+    def _fail_constraint(self, c, fail_rest, k):
         c = resolve_constraint(c, self.subst)
         if isinstance(c, TermEq):
             # failing a term equality is failing a unification problem
-            yield from self._fail_match(_Match((c.a,), (c.b,)), rest, depth)
-            return
+            return self._fail_match(_Match((c.a,), (c.b,)), fail_rest, k)
         truth = self.store._try_ground(c)
         if truth is True:
-            yield from self._fail_conj(rest, depth + 1)
-            return
+            return fail_rest
         if truth is False:
-            yield ()
-            return
-        if all(not self._is_local(v) for v in constraint_vars(c)):
+            return k
+
+        def assume_it():
             mark = self._mark()
-            try:
-                if self.store.post(negate(c)):
-                    yield ()
-            finally:
-                self._restore(mark)
-        mark = self._mark()
-        posted = self._post(c)
-        if posted:
-            try:
-                yield from self._fail_conj(rest, depth + 1)
-            finally:
-                self._restore(mark)
-        else:
+            if self._post(c):
+                return fail_rest
             # constraint unsatisfiable here: the conjunction can never hold
             self._restore(mark)
-            yield ()
+            return k
 
-    def _fail_naf(self, lit: UserLit, comp, rest, depth):
+        if any(self._is_local(v) for v in constraint_vars(c)):
+            return assume_it()
+        # refute it by its negation first, then assume it
+        self._choice(assume_it)
+        return k if self.store.post(negate(c)) else None
+
+    def _fail_naf(self, lit: UserLit, comp, fail_rest, depth, k):
         """not_p with a defined complement: refute by proving p, or fail the
         remainder of the conjunction (not_p may hold)."""
         args = tuple(self.subst.resolve(a) for a in lit.args)
-        from .terms import term_vars
-        has_local = any(self._is_local(v) for a in args for v in term_vars(a))
-        if not has_local:
-            goal = UserLit(comp[0], args)
-            mark = self._mark()
-            try:
-                for _ in self._prove([goal], depth + 1):
-                    yield ()
-            finally:
-                self._restore(mark)
-        yield from self._fail_conj(rest, depth + 1)
+        if any(self._is_local(v) for a in args for v in term_vars(a)):
+            return fail_rest
+        self._choice(fail_rest)
+        return self._prove([UserLit(comp[0], args)], depth + 1, k)
 
-    def _fail_abducible(self, lit: UserLit, rest, depth):
+    def _fail_abducible(self, lit: UserLit, rest, depth, k):
         """Closed world at check time: every current hypothesis match must
         fail together with the rest.  The assumption is recorded as a
         denial so that later additions to the hypothesis set re-establish
-        it (through `_consistency`); without that, an abducible buried
-        under a defined predicate could revive a refuted constraint."""
-        matches = [h for h in self.delta if h.lit.indicator == lit.indicator]
+        it (through `_consistency`) until backtracking removes it; without
+        that, an abducible buried under a defined predicate could revive a
+        refuted constraint."""
         conjs = []
-        for h in matches:
-            fresh = self._fresh_locals([lit] + list(rest))
-            conjs.append([_Match(fresh[0].args, self._resolve_lit(h.lit).args)]
-                         + fresh[1:])
-        dmark = len(self.denials)
+        for h in self.delta:
+            if h.lit.indicator == lit.indicator:
+                fresh = self._fresh_locals([lit] + list(rest))
+                conjs.append([_Match(fresh[0].args,
+                                     self._resolve_lit(h.lit).args)]
+                             + fresh[1:])
         self.denials.append((self._resolve_lit(lit), tuple(rest)))
-        try:
-            yield from self._refute_all(conjs, 0, depth + 1)
-        finally:
-            del self.denials[dmark:]
+        return self._refute_all(conjs, 0, depth + 1, k)
 
     # -- unification with constraint capture ---------------------------------
 
@@ -706,74 +670,6 @@ class Solver:
         return ok, caps, bound
 
 
-_SEARCH_STACK_BYTES = 512 * 1024 * 1024
-
-
-def _in_big_stack_thread(factory):
-    """Run a generator in a thread with a large stack, bridged lazily.
-
-    Deep derivations build long chains of suspended generators; resuming
-    such a chain recurses through the C stack, and the main thread's stack
-    is fixed at process start.  A worker thread can be given as much stack
-    as the search needs.  The bridge is strictly demand-driven: the worker
-    computes one item per request, so laziness and early termination of
-    the answer stream are preserved.
-    """
-    requests = queue.SimpleQueue()
-    replies = queue.SimpleQueue()
-
-    def worker():
-        try:
-            gen = factory()
-        except BaseException as exc:
-            replies.put(("raise", exc))
-            return
-        while True:
-            if requests.get() == "close":
-                gen.close()
-                return
-            try:
-                item = next(gen)
-            except StopIteration:
-                replies.put(("stop", None))
-                return
-            except BaseException as exc:
-                replies.put(("raise", exc))
-                return
-            replies.put(("item", item))
-
-    old = threading.stack_size(_SEARCH_STACK_BYTES)
-    try:
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-    finally:
-        threading.stack_size(old)
-
-    finished = False
-    try:
-        while True:
-            requests.put("next")
-            kind, value = replies.get()
-            if kind == "item":
-                yield value
-            elif kind == "stop":
-                finished = True
-                return
-            else:
-                finished = True
-                raise value
-    finally:
-        if not finished:
-            # fire-and-forget: the worker runs the search generator's
-            # cleanup when it picks this up; blocking here would deadlock
-            # during interpreter shutdown, when daemon threads stop running
-            requests.put("close")
-
-
 def solve(theory: AbductiveTheory, goal, initial=(), config: Config = None):
-    """Convenience wrapper: fresh solver, answer generator.
-
-    The search runs in a dedicated thread with a large stack so that deep
-    derivations do not overflow the interpreter's C stack.
-    """
-    return _in_big_stack_thread(lambda: Solver(theory, config).solve(goal, initial))
+    """Convenience wrapper: fresh solver, lazy and closable answer stream."""
+    yield from Solver(theory, config).solve(goal, initial)

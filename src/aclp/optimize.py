@@ -3,10 +3,11 @@ selection against a reference hypothesis set."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .engine import Answer
+from .engine import Answer, Config, InitialHypothesisInconsistentError, solve
 from .store import Lt
 from .terms import AclpError, Atom, Int, Struct, UserLit, Var
 
@@ -58,7 +59,6 @@ def minimize(answer: Answer, cost: Var, strategy: str = "first_fail"):
 
 def change_count(delta: tuple, reference: tuple) -> int:
     """Size of the symmetric difference, as multisets of ground literals."""
-    from collections import Counter
     a, b = Counter(delta), Counter(reference)
     return sum(((a - b) + (b - a)).values())
 
@@ -112,7 +112,6 @@ def reschedule(theory, goal, reference: tuple, config=None,
     hypothesis is dropped and the solve retried, down to a fresh solve in
     the worst case.
     """
-    from .engine import Config, InitialHypothesisInconsistentError, solve
     if config is None:
         config = Config(time_budget=10.0)
     kept = list(reference)

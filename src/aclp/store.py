@@ -15,10 +15,11 @@ is what scheduling programs need to relate start times and durations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .terms import (AclpError, Atom, Int, Struct, Term, Var, VarCounter,
-                    is_ground)
+                    _rename_term, is_ground, term_vars)
 
 
 class StoreTypeError(AclpError):
@@ -297,7 +298,6 @@ def negate(c: Constraint) -> Constraint:
 
 
 def constraint_vars(c: Constraint) -> Iterator[Var]:
-    from .terms import term_vars
     if isinstance(c, (And, Or)):
         yield from constraint_vars(c.a)
         yield from constraint_vars(c.b)
@@ -314,7 +314,6 @@ def resolve_constraint(c: Constraint, subst) -> Constraint:
 
 
 def rename_constraint(c: Constraint, mapping: dict, counter: VarCounter):
-    from .terms import _rename_term
     if isinstance(c, (And, Or)):
         return type(c)(rename_constraint(c.a, mapping, counter),
                        rename_constraint(c.b, mapping, counter))
@@ -906,13 +905,15 @@ class ConstraintStore:
         if strategy == "first_fail":
             pending.sort(key=lambda v: (self.domains[v.id].size, v.id))
         v = pending[0]
-        values = list(self.domains[v.id].values())
+        dom = self.domains[v.id]
+        values = dom.values()          # lazy: a domain may hold 10^7 values
         if rng is not None:
+            values = list(values)
             rng.shuffle(values)
         first = prefer.get(v.id)
-        if first is not None and first in values:
-            values.remove(first)
-            values.insert(0, first)
+        if isinstance(first, int if isinstance(dom, IntDomain) else str) \
+                and dom.contains(first):
+            values = chain((first,), (x for x in values if x != first))
         for val in values:
             term = Int(val) if isinstance(val, int) else Atom(val)
             mark = self.snapshot()

@@ -218,7 +218,6 @@ class Substitution:
         return t
 
     def resolve_literal(self, lit: Literal) -> Literal:
-        from . import store as _store
         if isinstance(lit, UserLit):
             return UserLit(lit.name, tuple(self.resolve(a) for a in lit.args))
         if isinstance(lit, ConstraintLit):
@@ -238,9 +237,6 @@ class Substitution:
             return any(self.occurs(v, a) for a in t.args)
         return False
 
-    def as_dict(self) -> dict[int, Term]:
-        return {vid: self.resolve(t) for vid, t in self.bindings.items()}
-
 
 # ---------------------------------------------------------------------------
 # Unification
@@ -253,8 +249,6 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store) -> bool:
     delegated equality makes the store unsatisfiable.  Caller is responsible
     for undoing subst/store marks on failure.
     """
-    from .store import Eq, TermEq
-
     t1 = subst.walk(t1)
     t2 = subst.walk(t2)
     if isinstance(t1, Var) and isinstance(t2, Var) and t1.id == t2.id:
@@ -272,7 +266,7 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store) -> bool:
             plain, dom = (t2, t1) if d1 else (t1, t2)
             subst.bind(plain, dom)
             return True
-        return store.post(Eq(t1, t2))
+        return store.post(_store.Eq(t1, t2))
 
     if isinstance(t1, Var):
         if subst.occurs(t1, t2):
@@ -322,12 +316,12 @@ def _rename_term(t: Term, mapping: dict, counter: VarCounter) -> Term:
 
 
 def _rename_literal(lit: Literal, mapping: dict, counter: VarCounter) -> Literal:
-    from .store import rename_constraint
     if isinstance(lit, UserLit):
         return UserLit(lit.name, tuple(_rename_term(a, mapping, counter)
                                        for a in lit.args))
     if isinstance(lit, ConstraintLit):
-        return ConstraintLit(rename_constraint(lit.constraint, mapping, counter))
+        return ConstraintLit(_store.rename_constraint(lit.constraint, mapping,
+                                                     counter))
     if isinstance(lit, NafLit):
         return NafLit(_rename_literal(lit.inner, mapping, counter))
     if isinstance(lit, DomainDecl):
@@ -352,11 +346,11 @@ def standardize_ic(ic: IntegrityConstraint, counter: VarCounter) -> tuple:
     return IntegrityConstraint(body), list(mapping.values())
 
 
-def rename_literal(lit: Literal, counter: VarCounter) -> Literal:
-    return _rename_literal(lit, {}, counter)
-
-
 def rename_conjunction(lits, counter: VarCounter) -> list:
     """Rename a goal conjunction apart with one shared variable mapping."""
     mapping: dict[int, Var] = {}
     return [_rename_literal(l, mapping, counter) for l in lits]
+
+
+# bound last: store imports the names above from this module
+from . import store as _store

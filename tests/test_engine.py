@@ -1,12 +1,16 @@
 """The abductive proof procedure: goal reduction, hypothesis reuse,
 consistency checking and answer extraction."""
 
+import sys
+import threading
+
 import pytest
 
 from aclp import Config, compile_naf, parse_goal, parse_theory, solve
 from aclp.corpus import event_calculus_program
 from aclp.engine import (DepthLimitExceededError,
                          InitialHypothesisInconsistentError, Solver, ic_order)
+from aclp.store import IntDomain
 from aclp.terms import (Atom, Int, IntegrityConstraint, Struct,
                         UnknownPredicateError, UserLit, Var)
 
@@ -237,6 +241,21 @@ def test_depth_limit_not_raised_when_answers_exist():
     assert len(out) >= 1
 
 
+def test_deep_derivation_runs_in_the_calling_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    limit = sys.getrecursionlimit()
+    n = 20_000
+    text = "\n".join(f"p{i} :- p{i + 1}." for i in range(n)) + f"\np{n}.\n"
+    out = list(solve(parse_theory(text), parse_goal("p0"),
+                     config=Config(max_depth=50_000)))
+    assert [a.delta for a in out] == [()]
+    assert started == []
+    assert sys.getrecursionlimit() == limit
+
+
 def test_time_budget_stops_search():
     import time
     # a shallow but astronomically wide search (6^12 leaves, all failing)
@@ -248,6 +267,25 @@ def test_time_budget_stops_search():
                      config=Config(time_budget=0.3)))
     assert out == []
     assert time.monotonic() - t0 < 10.0
+
+
+def test_first_labelling_of_a_one_sided_bound_draws_few_values(monkeypatch):
+    # X #> 3 leaves X over 4..10^7: the answer's emptiness probe and the
+    # first labelling must each try 4 without listing the whole domain
+    drawn = []
+    values = IntDomain.values
+
+    def counting(dom):
+        for v in values(dom):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr(IntDomain, "values", counting)
+    theory = parse_theory("abducible_predicate(a/1).\ng :- a(X), X #> 3.")
+    ans = next(solve(theory, parse_goal("g")))
+    sol = next(ans.labellings())
+    assert sol[ans.delta[0].args[0].id] == Int(4)
+    assert len(drawn) <= 4
 
 
 # -- ic ordering ------------------------------------------------------------
