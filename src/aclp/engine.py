@@ -18,7 +18,7 @@ one list of denials and one constraint store:
   refuted by abductively proving the complement -- this is what forces
   action preconditions to be established in planning programs.
 
-Both derivations run in the caller's thread, driven by one loop in
+Both derivations are driven by one loop in
 `Solver.solve` over an explicit stack of choice points (the state-based
 reading of ACLP in the A-System, with WAM-style choice points).  A step
 does a bounded amount of work and returns the step that continues the
@@ -33,6 +33,8 @@ memory bound its depth.
 
 from __future__ import annotations
 
+import queue
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -671,5 +673,44 @@ class Solver:
 
 
 def solve(theory: AbductiveTheory, goal, initial=(), config: Config = None):
-    """Convenience wrapper: fresh solver, lazy and closable answer stream."""
-    yield from Solver(theory, config).solve(goal, initial)
+    """Convenience wrapper: fresh solver, lazy and closable answer stream.
+
+    Each solve runs its search in a worker thread of its own, started on
+    the first request, which computes one answer per request, so the
+    stream stays lazy and closing it closes the search.  `perfbench`
+    attributes a solve's work through that thread and joins it after each
+    instance.  The search loop is flat, so the thread has the default
+    stack size and the recursion limit is left alone.
+    """
+    requests, replies = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def worker():
+        try:
+            answers = Solver(theory, config).solve(goal, initial)
+            while requests.get() == "next":
+                replies.put(("item", next(answers)))
+            answers.close()
+        except StopIteration:
+            replies.put(("stop", None))
+        except BaseException as exc:
+            replies.put(("raise", exc))
+
+    threading.Thread(target=worker, daemon=True).start()
+    finished = False
+    try:
+        while True:
+            requests.put("next")
+            kind, value = replies.get()
+            if kind == "item":
+                yield value
+                continue
+            finished = True
+            if kind == "raise":
+                raise value
+            return
+    finally:
+        if not finished:
+            # the worker closes the search when it reads this; waiting for
+            # it here would deadlock at interpreter shutdown, when daemon
+            # threads no longer run
+            requests.put("close")

@@ -241,7 +241,7 @@ def test_depth_limit_not_raised_when_answers_exist():
     assert len(out) >= 1
 
 
-def test_deep_derivation_runs_in_the_calling_thread(monkeypatch):
+def test_deep_derivation_needs_no_deep_stack(monkeypatch):
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
@@ -249,10 +249,16 @@ def test_deep_derivation_runs_in_the_calling_thread(monkeypatch):
     limit = sys.getrecursionlimit()
     n = 20_000
     text = "\n".join(f"p{i} :- p{i + 1}." for i in range(n)) + f"\np{n}.\n"
-    out = list(solve(parse_theory(text), parse_goal("p0"),
-                     config=Config(max_depth=50_000)))
+    theory, goal = parse_theory(text), parse_goal("p0")
+    config = Config(max_depth=50_000)
+    # the search loop itself runs in the calling thread
+    out = list(Solver(theory, config).solve(goal))
     assert [a.delta for a in out] == [()]
     assert started == []
+    # engine.solve runs the same loop in one worker thread per solve
+    out = list(solve(theory, goal, config=config))
+    assert [a.delta for a in out] == [()]
+    assert len(started) == 1
     assert sys.getrecursionlimit() == limit
 
 
