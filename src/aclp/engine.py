@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from .store import (And, ConstraintStore, Eq, Or, TermEq, constraint_vars,
                     negate, resolve_constraint, AtomDomain, IntDomain)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
-                    Struct, Substitution, UserLit, Var, VarCounter,
+                    Substitution, UserLit, Var, VarCounter,
                     UnknownPredicateError, rename_conjunction,
-                    standardize_apart, standardize_ic, term_vars,
-                    unify_terms)
+                    map_term, standardize_apart, standardize_ic,
+                    term_vars, unify_terms)
 from .theory import AbductiveTheory
 
 
@@ -95,12 +95,8 @@ class Answer:
 
     def ground_delta(self, valuation: dict):
         def g(t):
-            if isinstance(t, Var):
-                return valuation.get(t.id, t)
-            if isinstance(t, Struct):
-                return Struct(t.functor, tuple(g(a) for a in t.args))
-            return t
-        return tuple(UserLit(l.name, tuple(g(a) for a in l.args))
+            return valuation.get(t.id, t) if isinstance(t, Var) else t
+        return tuple(UserLit(l.name, tuple(map_term(a, g) for a in l.args))
                      for l in self.delta)
 
 
@@ -182,19 +178,19 @@ class Solver:
         """
         mapping: dict = {}
 
-        def rterm(t):
+        def rename(t):
             t = self.subst.walk(t)
-            if isinstance(t, Var):
-                if t.id in self.local_ids and not self.store.has_domain(t):
-                    if t.id not in mapping:
-                        nv = self.counter.fresh(t.name)
-                        self.local_ids.add(nv.id)
-                        mapping[t.id] = nv
-                    return mapping[t.id]
-                return t
-            if isinstance(t, Struct):
-                return Struct(t.functor, tuple(rterm(a) for a in t.args))
+            if (isinstance(t, Var) and t.id in self.local_ids
+                    and not self.store.has_domain(t)):
+                if t.id not in mapping:
+                    nv = self.counter.fresh(t.name)
+                    self.local_ids.add(nv.id)
+                    mapping[t.id] = nv
+                return mapping[t.id]
             return t
+
+        def rterm(t):
+            return map_term(t, rename)
 
         def rconstraint(c):
             if isinstance(c, (And, Or)):
@@ -500,8 +496,9 @@ class Solver:
 
     def _fail_match(self, item: _Match, fail_rest, k):
         mark = self._mark()
-        ok, caps, bound = self._capture_unify(item.a, item.b)
-        if not ok:
+        caps, bound = [], []
+        if not all(unify_terms(a, b, self.subst, self.store, caps, bound)
+                   for a, b in zip(item.a, item.b)):
             self._restore(mark)
             return k  # structurally impossible match
         gcaps = self._project_caps(caps) if all(
@@ -616,60 +613,6 @@ class Solver:
                              + fresh[1:])
         self.denials.append((self._resolve_lit(lit), tuple(rest)))
         return self._refute_all(conjs, 0, depth + 1, k)
-
-    # -- unification with constraint capture ---------------------------------
-
-    def _capture_unify(self, args1, args2):
-        """Like unification but collects store equalities instead of posting.
-
-        Returns (ok, constraints, bound_vars); bindings are real and must be
-        rolled back by the caller.
-        """
-        caps: list = []
-        bound: list = []
-
-        def go(a, b) -> bool:
-            a = self.subst.walk(a)
-            b = self.subst.walk(b)
-            if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
-                return True
-            da = isinstance(a, Var) and self.store.has_domain(a)
-            db = isinstance(b, Var) and self.store.has_domain(b)
-            if da or db:
-                other = b if da else a
-                if isinstance(other, Struct):
-                    return False
-                if isinstance(other, Var) and not (da and db):
-                    plain, dom = (b, a) if da else (a, b)
-                    self.subst.bind(plain, dom)
-                    bound.append(plain)
-                    return True
-                caps.append(Eq(a, b))
-                return True
-            if isinstance(a, Var):
-                if self.subst.occurs(a, b):
-                    return False
-                self.subst.bind(a, b)
-                bound.append(a)
-                return True
-            if isinstance(b, Var):
-                if self.subst.occurs(b, a):
-                    return False
-                self.subst.bind(b, a)
-                bound.append(b)
-                return True
-            if isinstance(a, Int) and isinstance(b, Int):
-                return a.value == b.value
-            if isinstance(a, Atom) and isinstance(b, Atom):
-                return a.name == b.name
-            if isinstance(a, Struct) and isinstance(b, Struct):
-                if a.functor != b.functor or a.arity != b.arity:
-                    return False
-                return all(go(x, y) for x, y in zip(a.args, b.args))
-            return False
-
-        ok = all(go(x, y) for x, y in zip(args1, args2))
-        return ok, caps, bound
 
 
 def solve(theory: AbductiveTheory, goal, initial=(), config: Config = None):

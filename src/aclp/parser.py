@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .store import And, Constraint, Eq, Ge, Gt, Le, Lt, Neq, Or, TermEq
 from .terms import (AclpError, Atom, Clause, ConstraintLit, DomainDecl, Int,
-                    IntegrityConstraint, NafLit, Struct, UserLit, Var)
+                    IntegrityConstraint, NafLit, Struct, UserLit, Var,
+                    spell)
 from .theory import AbductiveTheory
 
 
@@ -353,18 +354,18 @@ def parse_goal(text: str):
 # Pretty-printing (round-trips through parse_theory)
 # ---------------------------------------------------------------------------
 
-def format_term(t) -> str:
+def _format_leaf(t) -> str:
     if isinstance(t, Var):
         return t.name if t.name != "_" else f"_A{t.id}"
     if isinstance(t, Int):
         return str(t.value)
     if isinstance(t, Atom):
         return t.name
-    if isinstance(t, Struct):
-        if t.functor in ("+", "-") and t.arity == 2:
-            return f"{format_term(t.args[0])} {t.functor} {format_term(t.args[1])}"
-        return f"{t.functor}({','.join(format_term(a) for a in t.args)})"
     raise TypeError(t)
+
+
+def format_term(t) -> str:
+    return spell(t, _format_leaf, ("+", "-"))
 
 
 _OP_OF = {Neq: "##", Eq: "#=", Lt: "#<", Le: "#<=", Gt: "#>", Ge: "#>=",

@@ -66,20 +66,84 @@ class Struct:
     def arity(self) -> int:
         return len(self.args)
 
+    # equality and printing walk the term with a stack, like the walkers
+    # below; the generated hash still recurses (terms are not hashed)
+    def __eq__(self, other):
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if isinstance(a, Struct) and isinstance(b, Struct):
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return False
+                pairs.extend(zip(a.args, b.args))
+            elif isinstance(a, Struct) or isinstance(b, Struct) or a != b:
+                return False
+        return True
+
     def __repr__(self):
-        inner = ",".join(map(repr, self.args))
-        return f"{self.functor}({inner})"
+        return spell(self, repr)
 
 
 Term = Union[Var, Int, Atom, Struct]
 
 
+# The walkers below keep an explicit stack rather than recursing, so a term
+# may nest as deep as memory allows whatever the interpreter's recursion
+# limit.  They visit subterms left to right, depth first.
+
 def term_vars(t: Term) -> Iterator[Var]:
-    if isinstance(t, Var):
-        yield t
-    elif isinstance(t, Struct):
-        for a in t.args:
-            yield from term_vars(a)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            yield t
+        elif isinstance(t, Struct):
+            stack.extend(reversed(t.args))
+
+
+def spell(t: Term, leaf, infix=()) -> str:
+    """Text of `t`: leaf(s) for each non-Struct subterm s, `f(a,b)` for a
+    struct, and `a f b` for a binary struct whose functor is in `infix`."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif not isinstance(t, Struct):
+            out.append(leaf(t))
+        elif t.functor in infix and len(t.args) == 2:
+            stack += [t.args[1], f" {t.functor} ", t.args[0]]
+        else:
+            out.append(t.functor + "(")
+            stack.append(")")
+            for i in range(len(t.args) - 1, -1, -1):
+                stack.append(t.args[i])
+                if i:
+                    stack.append(",")
+    return "".join(out)
+
+
+def map_term(t: Term, f) -> Term:
+    """Copy of `t` with every subterm s replaced by f(s), outermost first;
+    the arguments of a Struct that f returns are mapped in turn."""
+    t = f(t)
+    if not isinstance(t, Struct):
+        return t
+    stack = [(t, [], iter(t.args))]   # (struct, mapped args, args left)
+    while True:
+        s, done, rest = stack[-1]
+        for a in rest:
+            a = f(a)
+            if isinstance(a, Struct):
+                stack.append((a, [], iter(a.args)))
+                break
+            done.append(a)
+        else:
+            stack.pop()
+            s = Struct(s.functor, tuple(done))
+            if not stack:
+                return s
+            stack[-1][1].append(s)
 
 
 def is_ground(t: Term) -> bool:
@@ -212,10 +276,7 @@ class Substitution:
 
     def resolve(self, t: Term) -> Term:
         """Fully apply the substitution to a term."""
-        t = self.walk(t)
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(self.resolve(a) for a in t.args))
-        return t
+        return map_term(t, self.walk)
 
     def resolve_literal(self, lit: Literal) -> Literal:
         if isinstance(lit, UserLit):
@@ -230,11 +291,14 @@ class Substitution:
         raise TypeError(lit)
 
     def occurs(self, v: Var, t: Term) -> bool:
-        t = self.walk(t)
-        if isinstance(t, Var):
-            return t.id == v.id
-        if isinstance(t, Struct):
-            return any(self.occurs(v, a) for a in t.args)
+        stack = [t]
+        while stack:
+            t = self.walk(stack.pop())
+            if isinstance(t, Var):
+                if t.id == v.id:
+                    return True
+            elif isinstance(t, Struct):
+                stack.extend(t.args)
         return False
 
 
@@ -242,52 +306,58 @@ class Substitution:
 # Unification
 # ---------------------------------------------------------------------------
 
-def unify_terms(t1: Term, t2: Term, subst: Substitution, store) -> bool:
+def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
+                caps: list = None, bound: list = None) -> bool:
     """Unify in place; emits equality constraints for domain variables.
 
     Returns False on structural mismatch, occurs-check violation or when a
     delegated equality makes the store unsatisfiable.  Caller is responsible
-    for undoing subst/store marks on failure.
+    for undoing subst/store marks on failure.  Given `caps`, those
+    equalities are collected there instead of posted, and every variable
+    bound is appended to `bound`.
     """
-    t1 = subst.walk(t1)
-    t2 = subst.walk(t2)
-    if isinstance(t1, Var) and isinstance(t2, Var) and t1.id == t2.id:
-        return True
-
-    d1 = isinstance(t1, Var) and store.has_domain(t1)
-    d2 = isinstance(t2, Var) and store.has_domain(t2)
-    if d1 or d2:
-        # Domain-constrained variables are equated through the store.
-        other = t2 if d1 else t1
-        if isinstance(other, Struct):
-            return False  # domain values are scalars
-        if isinstance(other, Var) and not (d1 and d2):
-            # plain variable: bind it to the domain variable instead
-            plain, dom = (t2, t1) if d1 else (t1, t2)
-            subst.bind(plain, dom)
-            return True
-        return store.post(_store.Eq(t1, t2))
-
-    if isinstance(t1, Var):
-        if subst.occurs(t1, t2):
+    pairs = [(t1, t2)]
+    while pairs:
+        t1, t2 = pairs.pop()
+        t1 = subst.walk(t1)
+        t2 = subst.walk(t2)
+        if isinstance(t1, Var) and isinstance(t2, Var) and t1.id == t2.id:
+            continue
+        d1 = isinstance(t1, Var) and store.has_domain(t1)
+        d2 = isinstance(t2, Var) and store.has_domain(t2)
+        if d1 or d2:
+            # Domain-constrained variables are equated through the store.
+            other = t2 if d1 else t1
+            if isinstance(other, Struct):
+                return False  # domain values are scalars
+            if isinstance(other, Var) and not (d1 and d2):
+                # plain variable: bind it to the domain variable instead
+                plain, dom = (t2, t1) if d1 else (t1, t2)
+                subst.bind(plain, dom)
+                if bound is not None:
+                    bound.append(plain)
+            elif caps is not None:
+                caps.append(_store.Eq(t1, t2))
+            elif not store.post(_store.Eq(t1, t2)):
+                return False
+        elif isinstance(t1, Var) or isinstance(t2, Var):
+            v, t = (t1, t2) if isinstance(t1, Var) else (t2, t1)
+            if subst.occurs(v, t):
+                return False
+            subst.bind(v, t)
+            if bound is not None:
+                bound.append(v)
+        elif isinstance(t1, Struct) and isinstance(t2, Struct):
+            if t1.functor != t2.functor or t1.arity != t2.arity:
+                return False
+            pairs.extend(zip(reversed(t1.args), reversed(t2.args)))
+        elif isinstance(t1, Int) and isinstance(t2, Int):
+            if t1.value != t2.value:
+                return False
+        elif not (isinstance(t1, Atom) and isinstance(t2, Atom)
+                  and t1.name == t2.name):
             return False
-        subst.bind(t1, t2)
-        return True
-    if isinstance(t2, Var):
-        if subst.occurs(t2, t1):
-            return False
-        subst.bind(t2, t1)
-        return True
-    if isinstance(t1, Int) and isinstance(t2, Int):
-        return t1.value == t2.value
-    if isinstance(t1, Atom) and isinstance(t2, Atom):
-        return t1.name == t2.name
-    if isinstance(t1, Struct) and isinstance(t2, Struct):
-        if t1.functor != t2.functor or t1.arity != t2.arity:
-            return False
-        return all(unify_terms(a, b, subst, store)
-                   for a, b in zip(t1.args, t2.args))
-    return False
+    return True
 
 
 def unify(t1: Term, t2: Term, store) -> Optional[tuple]:
@@ -305,14 +375,13 @@ def unify(t1: Term, t2: Term, store) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 
 def _rename_term(t: Term, mapping: dict, counter: VarCounter) -> Term:
-    if isinstance(t, Var):
+    def rename(t):
+        if not isinstance(t, Var):
+            return t
         if t.id not in mapping:
             mapping[t.id] = counter.fresh(t.name)
         return mapping[t.id]
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(_rename_term(a, mapping, counter)
-                                       for a in t.args))
-    return t
+    return map_term(t, rename)
 
 
 def _rename_literal(lit: Literal, mapping: dict, counter: VarCounter) -> Literal:

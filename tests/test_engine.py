@@ -10,6 +10,7 @@ from aclp import Config, compile_naf, parse_goal, parse_theory, solve
 from aclp.corpus import event_calculus_program
 from aclp.engine import (DepthLimitExceededError,
                          InitialHypothesisInconsistentError, Solver, ic_order)
+from aclp.parser import format_literal
 from aclp.store import IntDomain
 from aclp.terms import (Atom, Int, IntegrityConstraint, Struct,
                         UnknownPredicateError, UserLit, Var)
@@ -255,10 +256,34 @@ def test_deep_derivation_needs_no_deep_stack(monkeypatch):
     out = list(Solver(theory, config).solve(goal))
     assert [a.delta for a in out] == [()]
     assert started == []
-    # engine.solve runs the same loop in one worker thread per solve
     out = list(solve(theory, goal, config=config))
     assert [a.delta for a in out] == [()]
-    assert len(started) == 1
+    assert sys.getrecursionlimit() == limit
+
+
+def nested(n, t):
+    for _ in range(n):
+        t = Struct("s", (t,))
+    return t
+
+
+def test_deeply_nested_terms_need_no_recursion():
+    # q_i(X) :- q_{i+1}(s(X)) builds s^n(z), nested deeper than the
+    # recursion limit allows frames: unification, the occurs check,
+    # resolution, renaming, equality and printing all walk it
+    limit = sys.getrecursionlimit()
+    n = limit
+    chain = "\n".join(f"q{i}(X) :- q{i + 1}(s(X))." for i in range(n))
+    out = answers(f"{chain}\nq{n}(X).", "q0(z)")
+    assert [a.delta for a in out] == [()]
+    text = ("abducible_predicate(h/1).\nic :- h(s(z)).\nic :- h(a).\n"
+            f"{chain}\nq{n}(X) :- h(X), h(X).")
+    out = answers(text, "q0(z)")
+    deep = nested(n, Atom("z"))
+    assert [a.delta for a in out] == [(UserLit("h", (deep,)),)]
+    text = "h(" + "s(" * n + "z" + ")" * (n + 1)
+    assert repr(out[0].delta[0]) == format_literal(out[0].delta[0]) == text
+    assert out[0].store.render() == ""
     assert sys.getrecursionlimit() == limit
 
 
