@@ -201,12 +201,15 @@ def _bench_reschedule(sizes, seed, config):
         theory = parse_theory(inst.program)
         goal = parse_goal(inst.goal_text)
         t0 = time.perf_counter()
-        ans = next(solve(theory, goal, config=config))
-        old = ans.ground_delta(next(ans.labellings(rng=random.Random(seed))))
-
+        ans = next(solve(theory, goal, config=config), None)
         inst2 = add_unavailability(inst, seed)
         theory2 = parse_theory(inst2.program)
         fresh_ans = next(solve(theory2, goal, config=config), None)
+        if ans is None or fresh_ans is None:
+            rows.append((n, time.perf_counter() - t0, "0 vs 0 changes",
+                         "NO ANSWER"))
+            continue
+        old = ans.ground_delta(next(ans.labellings(rng=random.Random(seed))))
         fresh = fresh_ans.ground_delta(next(fresh_ans.labellings()))
         fresh_ok, _ = validate_jobshop_schedule(inst2, fresh)
         fresh_changes = change_count(fresh, old)

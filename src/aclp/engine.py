@@ -39,11 +39,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .store import (And, ConstraintStore, Eq, Or, TermEq, constraint_vars,
-                    negate, resolve_constraint, AtomDomain, IntDomain)
+from .store import (And, ConstraintStore, Eq, TermEq, constraint_vars,
+                    map_constraint, negate, AtomDomain, IntDomain)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Substitution, UserLit, Var, VarCounter,
-                    UnknownPredicateError, rename_conjunction,
+                    UnknownPredicateError, rename_conjunction, map_literal,
                     map_term, standardize_apart, standardize_ic,
                     term_vars, unify_terms)
 from .theory import AbductiveTheory
@@ -96,8 +96,7 @@ class Answer:
     def ground_delta(self, valuation: dict):
         def g(t):
             return valuation.get(t.id, t) if isinstance(t, Var) else t
-        return tuple(UserLit(l.name, tuple(map_term(a, g) for a in l.args))
-                     for l in self.delta)
+        return tuple(map_literal(l, g) for l in self.delta)
 
 
 def ic_order(ics, strategy: str = "source"):
@@ -189,28 +188,10 @@ class Solver:
                 return mapping[t.id]
             return t
 
-        def rterm(t):
-            return map_term(t, rename)
-
-        def rconstraint(c):
-            if isinstance(c, (And, Or)):
-                return type(c)(rconstraint(c.a), rconstraint(c.b))
-            return type(c)(rterm(c.a), rterm(c.b))
-
-        def ritem(item):
-            if isinstance(item, _Match):
-                return _Match(tuple(rterm(a) for a in item.a),
-                              tuple(rterm(b) for b in item.b))
-            if isinstance(item, UserLit):
-                return UserLit(item.name, tuple(rterm(a) for a in item.args))
-            if isinstance(item, ConstraintLit):
-                return ConstraintLit(rconstraint(item.constraint))
-            if isinstance(item, DomainDecl):
-                return DomainDecl(rterm(item.var), rterm(item.lo),
-                                  rterm(item.hi), item.atoms)
-            return item
-
-        return [ritem(i) for i in items]
+        return [_Match(tuple(map_term(a, rename) for a in i.a),
+                       tuple(map_term(b, rename) for b in i.b))
+                if isinstance(i, _Match) else map_literal(i, rename)
+                for i in items]
 
     def _resolve_lit(self, lit):
         return self.subst.resolve_literal(lit)
@@ -275,7 +256,8 @@ class Solver:
         delta = tuple(self._resolve_lit(h.lit) for h in self.delta)
         prov = tuple(h.provenance for h in self.delta)
         st = self.store.clone()
-        st.constraints = [resolve_constraint(c, self.subst) for c in st.constraints]
+        st.constraints = [map_constraint(c, self.subst.walk)
+                          for c in st.constraints]
         # project onto variables the answer can mention: those in the
         # hypotheses and those constrained by a residual constraint
         keep = set()
@@ -355,7 +337,7 @@ class Solver:
                    for a, b in zip(args1, args2))
 
     def _post(self, c) -> bool:
-        c = resolve_constraint(c, self.subst)
+        c = map_constraint(c, self.subst.walk)
         if isinstance(c, TermEq):
             # term equality is unification, not scalar decomposition
             return unify_terms(c.a, c.b, self.subst, self.store)
@@ -564,7 +546,7 @@ class Solver:
         return gcaps or None
 
     def _fail_constraint(self, c, fail_rest, k):
-        c = resolve_constraint(c, self.subst)
+        c = map_constraint(c, self.subst.walk)
         if isinstance(c, TermEq):
             # failing a term equality is failing a unification problem
             return self._fail_match(_Match((c.a,), (c.b,)), fail_rest, k)

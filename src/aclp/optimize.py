@@ -66,18 +66,22 @@ def change_count(delta: tuple, reference: tuple) -> int:
 def _collect_preferences(new, ref, out) -> bool:
     """Record preferred values for variables of `new` from the ground `ref`;
     False when the ground parts of the two terms already disagree."""
-    if isinstance(new, Var):
-        if isinstance(ref, Int):
-            out[new.id] = ref.value
-        elif isinstance(ref, Atom):
-            out[new.id] = ref.name
-        return True
-    if isinstance(new, Struct) and isinstance(ref, Struct):
-        if new.functor != ref.functor or new.arity != ref.arity:
+    pairs = [(new, ref)]
+    while pairs:
+        new, ref = pairs.pop()
+        if isinstance(new, Var):
+            if isinstance(ref, Int):
+                out[new.id] = ref.value
+            elif isinstance(ref, Atom):
+                out[new.id] = ref.name
+        elif isinstance(new, Struct) and isinstance(ref, Struct):
+            if new.functor != ref.functor or new.arity != ref.arity:
+                return False
+            # left to right, so a repeated variable keeps its last value
+            pairs.extend(zip(reversed(new.args), reversed(ref.args)))
+        elif new != ref:
             return False
-        return all(_collect_preferences(a, b, out)
-                   for a, b in zip(new.args, ref.args))
-    return new == ref
+    return True
 
 
 def label_preferences(answer: Answer, reference: tuple) -> dict:

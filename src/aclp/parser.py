@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .store import And, Constraint, Eq, Ge, Gt, Le, Lt, Neq, Or, TermEq
+from .store import (And, Constraint, Eq, Ge, Gt, Le, Lt, Neq, Or, TermEq,
+                    TermNeq)
 from .terms import (AclpError, Atom, Clause, ConstraintLit, DomainDecl, Int,
                     IntegrityConstraint, NafLit, Struct, UserLit, Var,
                     spell)
@@ -47,7 +48,8 @@ _TOKEN_RE = re.compile(r"""
   | (?P<name>[a-z]\w*)
 """, re.VERBOSE)
 
-_CMP_OPS = ("##=", "##", "#=", "#<", "#<=", "#>", "#>=")
+# comparison operator -> constraint class; TermNeq has no surface syntax
+_COMPARISONS = {cls.op: cls for cls in (Neq, Eq, Lt, Le, Gt, Ge, TermEq)}
 
 
 @dataclass
@@ -127,43 +129,53 @@ class _Parser:
     # -- terms ---------------------------------------------------------------
 
     def parse_term(self):
-        t = self.tok
-        if t.kind == "int":
-            self.advance()
-            return Int(int(t.text))
-        if self.at_op("-"):
-            self.advance()
-            n = self.tok
-            if n.kind != "int":
-                self.fail("expected integer after '-'")
-            self.advance()
-            return Int(-int(n.text))
-        if t.kind == "var":
-            self.advance()
-            return self.getvar(t.text)
-        if t.kind == "name":
-            self.advance()
-            if self.at_op("("):
+        """One term.  Nested arguments are parsed with a stack of the
+        structs still open, so nesting is not bounded by recursion."""
+        stack = []                      # (functor, arguments so far)
+        while True:
+            t = self.tok
+            if t.kind == "var":
                 self.advance()
-                args = [self.parse_arg()]
-                while self.at_op(","):
+                term = self.getvar(t.text)
+            elif t.kind == "name":
+                self.advance()
+                if self.at_op("("):
                     self.advance()
-                    args.append(self.parse_arg())
+                    stack.append((t.text, []))
+                    continue
+                term = Atom(t.text)
+            elif t.kind == "int":
+                self.advance()
+                term = Int(int(t.text))
+            elif self.at_op("-"):
+                self.advance()
+                n = self.tok
+                if n.kind != "int":
+                    self.fail("expected integer after '-'")
+                self.advance()
+                term = Int(-int(n.text))
+            else:
+                self.fail(f"expected a term, found {t.text or 'end of input'!r}")
+            # the term is an argument of the innermost open struct;
+            # close each struct that ends after it
+            while stack:
+                if self.at_op("/"):  # name/arity inside declarations
+                    self.advance()
+                    n = self.tok
+                    if n.kind != "int":
+                        self.fail("expected arity after '/'")
+                    self.advance()
+                    term = Struct("/", (term, Int(int(n.text))))
+                functor, args = stack[-1]
+                args.append(term)
+                if self.at_op(","):
+                    self.advance()
+                    break
                 self.expect_op(")")
-                return Struct(t.text, tuple(args))
-            return Atom(t.text)
-        self.fail(f"expected a term, found {t.text or 'end of input'!r}")
-
-    def parse_arg(self):
-        term = self.parse_term()
-        if self.at_op("/"):  # name/arity inside declarations
-            self.advance()
-            n = self.tok
-            if n.kind != "int":
-                self.fail("expected arity after '/'")
-            self.advance()
-            return Struct("/", (term, Int(int(n.text))))
-        return term
+                stack.pop()
+                term = Struct(functor, tuple(args))
+            else:
+                return term
 
     def parse_arith_term(self):
         term = self.parse_term()
@@ -193,7 +205,7 @@ class _Parser:
         if self.at_op("::"):
             self.advance()
             return self.parse_domain_decl(term)
-        if self.at_op(*_CMP_OPS) or self.at_op("#/\\", "#\\/"):
+        if self.at_op(*_COMPARISONS, And.op, Or.op):
             c = self.parse_cexpr_rest(term)
             return ConstraintLit(c)
         return self.term_to_userlit(term)
@@ -237,14 +249,14 @@ class _Parser:
 
     def parse_cexpr(self) -> Constraint:
         c = self.parse_cconj()
-        while self.at_op("#\\/"):
+        while self.at_op(Or.op):
             self.advance()
             c = Or(c, self.parse_cconj())
         return c
 
     def parse_cconj(self) -> Constraint:
         c = self.parse_cprimary()
-        while self.at_op("#/\\"):
+        while self.at_op(And.op):
             self.advance()
             c = And(c, self.parse_cprimary())
         return c
@@ -259,20 +271,17 @@ class _Parser:
         return self.parse_comparison(lhs)
 
     def parse_comparison(self, lhs) -> Constraint:
-        if not self.at_op(*_CMP_OPS):
+        if not self.at_op(*_COMPARISONS):
             self.fail("expected a constraint operator")
-        op = self.advance().text
-        rhs = self.parse_arith_term()
-        ctor = {"##": Neq, "#=": Eq, "#<": Lt, "#<=": Le,
-                "#>": Gt, "#>=": Ge, "##=": TermEq}[op]
-        return ctor(lhs, rhs)
+        cls = _COMPARISONS[self.advance().text]
+        return cls(lhs, self.parse_arith_term())
 
     def parse_cexpr_rest(self, lhs) -> Constraint:
         c = self.parse_comparison(lhs)
-        while self.at_op("#/\\"):
+        while self.at_op(And.op):
             self.advance()
             c = And(c, self.parse_cprimary())
-        while self.at_op("#\\/"):
+        while self.at_op(Or.op):
             self.advance()
             c = Or(c, self.parse_cconj())
         return c
@@ -368,21 +377,13 @@ def format_term(t) -> str:
     return spell(t, _format_leaf, ("+", "-"))
 
 
-_OP_OF = {Neq: "##", Eq: "#=", Lt: "#<", Le: "#<=", Gt: "#>", Ge: "#>=",
-          TermEq: "##="}
-
-
 def format_constraint(c, top: bool = True) -> str:
-    if isinstance(c, And):
-        s = f"{format_constraint(c.a, False)} #/\\ {format_constraint(c.b, False)}"
+    if isinstance(c, (And, Or)):
+        s = f"{format_constraint(c.a, False)} {c.op} {format_constraint(c.b, False)}"
         return s if top else f"({s})"
-    if isinstance(c, Or):
-        s = f"{format_constraint(c.a, False)} #\\/ {format_constraint(c.b, False)}"
-        return s if top else f"({s})"
-    op = _OP_OF.get(type(c))
-    if op is None:
+    if isinstance(c, TermNeq):
         raise ValueError(f"constraint {c!r} has no surface syntax")
-    return f"{format_term(c.a)} {op} {format_term(c.b)}"
+    return f"{format_term(c.a)} {c.op} {format_term(c.b)}"
 
 
 def format_literal(lit) -> str:

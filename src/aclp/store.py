@@ -14,12 +14,13 @@ is what scheduling programs need to relate start times and durations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
-from .terms import (AclpError, Atom, Int, Struct, Term, Var, VarCounter,
-                    _rename_term, is_ground, term_vars)
+from .terms import (AclpError, Atom, Int, Struct, Term, Var, is_ground,
+                    map_term, term_vars)
 
 
 class StoreTypeError(AclpError):
@@ -90,12 +91,18 @@ class IntDomain:
         return IntDomain(tuple((lo + k, hi + k) for lo, hi in self.ranges))
 
     def intersect(self, other: "IntDomain") -> "IntDomain":
-        out = []
-        for lo, hi in self.ranges:
-            for lo2, hi2 in other.ranges:
-                a, b = max(lo, lo2), min(hi, hi2)
-                if a <= b:
-                    out.append((a, b))
+        xs, ys = self.ranges, other.ranges
+        out, i, j = [], 0, 0
+        while i < len(xs) and j < len(ys):
+            (lo, hi), (lo2, hi2) = xs[i], ys[j]
+            a, b = max(lo, lo2), min(hi, hi2)
+            if a <= b:
+                out.append((a, b))
+            # the range that ends first meets nothing further on the other side
+            if hi < hi2:
+                i += 1
+            else:
+                j += 1
         return IntDomain(tuple(out))
 
     def clamp(self, lo: Optional[int], hi: Optional[int]) -> "IntDomain":
@@ -157,7 +164,8 @@ class AtomDomain:
         return self.atoms[0] if len(self.atoms) == 1 else None
 
     def intersect(self, other: "AtomDomain") -> "AtomDomain":
-        return AtomDomain(tuple(a for a in self.atoms if a in set(other.atoms)))
+        keep = set(other.atoms)
+        return AtomDomain(tuple(a for a in self.atoms if a in keep))
 
     def remove(self, name: str) -> "AtomDomain":
         return AtomDomain(tuple(a for a in self.atoms if a != name))
@@ -177,128 +185,86 @@ Domain = Union[IntDomain, AtomDomain]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Eq:        # T1 #= T2
+class Constraint:
+    """`a op b`; each subclass names one operator of the constraint language.
+
+    Subclasses keep the dataclass equality, which compares classes too, so
+    `Eq(x, y) != Neq(x, y)`."""
+
     a: Term
     b: Term
+    op = ""
 
     def __repr__(self):
-        return f"{self.a!r} #= {self.b!r}"
+        return f"{self.a!r} {self.op} {self.b!r}"
 
 
-@dataclass(frozen=True)
-class Neq:       # T1 ## T2
-    a: Term
-    b: Term
-
-    def __repr__(self):
-        return f"{self.a!r} ## {self.b!r}"
+class Eq(Constraint):
+    op = "#="
 
 
-@dataclass(frozen=True)
-class Lt:        # T1 #< T2
-    a: Term
-    b: Term
-
-    def __repr__(self):
-        return f"{self.a!r} #< {self.b!r}"
+class Neq(Constraint):
+    op = "##"
 
 
-@dataclass(frozen=True)
-class Le:        # T1 #<= T2
-    a: Term
-    b: Term
-
-    def __repr__(self):
-        return f"{self.a!r} #<= {self.b!r}"
+class Lt(Constraint):
+    op = "#<"
 
 
-@dataclass(frozen=True)
-class Gt:        # T1 #> T2
-    a: Term
-    b: Term
-
-    def __repr__(self):
-        return f"{self.a!r} #> {self.b!r}"
+class Le(Constraint):
+    op = "#<="
 
 
-@dataclass(frozen=True)
-class Ge:        # T1 #>= T2
-    a: Term
-    b: Term
+class Gt(Constraint):
+    op = "#>"
+
+
+class Ge(Constraint):
+    op = "#>="
+
+
+class TermEq(Constraint):   # variables at most one level inside a functor
+    op = "##="
+
+
+class TermNeq(Constraint):  # negates TermEq; internal only, no surface syntax
+    op = "##\\="
+
+
+class _Junction(Constraint):
+    """A connective over two constraints, printed in brackets."""
 
     def __repr__(self):
-        return f"{self.a!r} #>= {self.b!r}"
+        return f"({self.a!r} {self.op} {self.b!r})"
 
 
-@dataclass(frozen=True)
-class TermEq:    # T1 ##= T2 (variables at most one level inside a functor)
-    a: Term
-    b: Term
-
-    def __repr__(self):
-        return f"{self.a!r} ##= {self.b!r}"
+class And(_Junction):
+    op = "#/\\"
 
 
-@dataclass(frozen=True)
-class TermNeq:   # negation of ##=; internal only, no surface syntax
-    a: Term
-    b: Term
+class Or(_Junction):
+    op = "#\\/"
 
-    def __repr__(self):
-        return f"{self.a!r} ##\\= {self.b!r}"
-
-
-@dataclass(frozen=True)
-class And:       # C1 #/\ C2
-    a: "Constraint"
-    b: "Constraint"
-
-    def __repr__(self):
-        return f"({self.a!r} #/\\ {self.b!r})"
-
-
-@dataclass(frozen=True)
-class Or:        # C1 #\/ C2
-    a: "Constraint"
-    b: "Constraint"
-
-    def __repr__(self):
-        return f"({self.a!r} #\\/ {self.b!r})"
-
-
-Constraint = Union[Eq, Neq, Lt, Le, Gt, Ge, TermEq, TermNeq, And, Or]
 
 _SCALAR = (Eq, Neq, Lt, Le, Gt, Ge)
 _ARITH = (Lt, Le, Gt, Ge)
+_NEGATION = {Eq: Neq, Neq: Eq, Lt: Ge, Ge: Lt, Le: Gt, Gt: Le,
+             TermEq: TermNeq, TermNeq: TermEq, And: Or, Or: And}
+# truth of a ground constraint from its two operand values
+_TRUTH = {Eq: operator.eq, Neq: operator.ne, Lt: operator.lt, Le: operator.le,
+          Gt: operator.gt, Ge: operator.ge, TermEq: operator.eq,
+          TermNeq: operator.ne}
 
 
 def negate(c: Constraint) -> Constraint:
     """Mathematical negation; an involution on the constraint language."""
-    if isinstance(c, Eq):
-        return Neq(c.a, c.b)
-    if isinstance(c, Neq):
-        return Eq(c.a, c.b)
-    if isinstance(c, Lt):
-        return Ge(c.a, c.b)
-    if isinstance(c, Ge):
-        return Lt(c.a, c.b)
-    if isinstance(c, Le):
-        return Gt(c.a, c.b)
-    if isinstance(c, Gt):
-        return Le(c.a, c.b)
-    if isinstance(c, TermEq):
-        return TermNeq(c.a, c.b)
-    if isinstance(c, TermNeq):
-        return TermEq(c.a, c.b)
-    if isinstance(c, And):
-        return Or(negate(c.a), negate(c.b))
-    if isinstance(c, Or):
-        return And(negate(c.a), negate(c.b))
-    raise TypeError(c)
+    if isinstance(c, _Junction):   # De Morgan
+        return _NEGATION[type(c)](negate(c.a), negate(c.b))
+    return _NEGATION[type(c)](c.a, c.b)
 
 
 def constraint_vars(c: Constraint) -> Iterator[Var]:
-    if isinstance(c, (And, Or)):
+    if isinstance(c, _Junction):
         yield from constraint_vars(c.a)
         yield from constraint_vars(c.b)
     else:
@@ -306,19 +272,12 @@ def constraint_vars(c: Constraint) -> Iterator[Var]:
         yield from term_vars(c.b)
 
 
-def resolve_constraint(c: Constraint, subst) -> Constraint:
-    if isinstance(c, (And, Or)):
-        return type(c)(resolve_constraint(c.a, subst),
-                       resolve_constraint(c.b, subst))
-    return type(c)(subst.resolve(c.a), subst.resolve(c.b))
-
-
-def rename_constraint(c: Constraint, mapping: dict, counter: VarCounter):
-    if isinstance(c, (And, Or)):
-        return type(c)(rename_constraint(c.a, mapping, counter),
-                       rename_constraint(c.b, mapping, counter))
-    return type(c)(_rename_term(c.a, mapping, counter),
-                   _rename_term(c.b, mapping, counter))
+def map_constraint(c: Constraint, f) -> Constraint:
+    """Copy of `c` with each operand term mapped by `map_term(., f)`, left
+    to right."""
+    if isinstance(c, _Junction):
+        return type(c)(map_constraint(c.a, f), map_constraint(c.b, f))
+    return type(c)(map_term(c.a, f), map_term(c.b, f))
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +295,8 @@ def split_offset(t: Term):
         if isinstance(base, Int) and isinstance(off, Int):
             v = base.value + off.value if t.functor == "+" else base.value - off.value
             return Int(v), 0
-        if isinstance(off, Int) and isinstance(base, (Var, Int)):
-            k = off.value if t.functor == "+" else -off.value
-            inner = split_offset(base)
-            if inner is None:
-                return None
-            b, k0 = inner
-            return b, k0 + k
+        if isinstance(off, Int) and isinstance(base, Var):
+            return base, off.value if t.functor == "+" else -off.value
         return None
     if isinstance(t, (Var, Int, Atom)):
         return t, 0
@@ -542,22 +496,19 @@ class ConstraintStore:
     def _propagate(self) -> bool:
         if not self.consistent:
             return False
-        changed = True
-        while changed:
-            changed = False
+        # pruners report fail/entail/none; a sweep that wrote a domain, with
+        # any of these, rewakes every constraint
+        writes = None
+        while writes != self._writes:
+            writes = self._writes
             for idx in range(len(self.constraints)):
                 if self.states[idx] != ACTIVE:
                     continue
-                writes = self._writes
                 res = self._prune(idx, self.constraints[idx])
                 if res == "fail":
                     return self._fail()
                 if res == "entail":
                     self._set_state(idx, ENTAILED)
-                # a pruner may narrow a domain and still report entailment;
-                # any domain write must rewake the other constraints
-                if res == "change" or self._writes != writes:
-                    changed = True
         return True
 
     # -- individual propagators ----------------------------------------------
@@ -582,23 +533,21 @@ class ConstraintStore:
                 return dom.min + off, dom.max + off
         return None
 
-    def _clamp_var(self, base, off, lo, hi) -> str:
-        """Restrict base+off to [lo, hi]; returns change/none/fail."""
+    def _clamp_var(self, base, off, lo, hi) -> bool:
+        """Restrict base+off to [lo, hi]; False when that leaves nothing."""
         if isinstance(base, Int):
             v = base.value + off
-            ok = (lo is None or v >= lo) and (hi is None or v <= hi)
-            return "none" if ok else "fail"
+            return (lo is None or v >= lo) and (hi is None or v <= hi)
         dom = self.domains.get(base.id)
         if not isinstance(dom, IntDomain):
-            return "none"
+            return True
         new = dom.clamp(None if lo is None else lo - off,
                         None if hi is None else hi - off)
         if new.empty:
-            return "fail"
+            return False
         if new != dom:
             self._set_domain(base, new)
-            return "change"
-        return "none"
+        return True
 
     def _prune(self, idx: int, c: Constraint) -> str:
         if isinstance(c, (TermEq, TermNeq)):
@@ -638,23 +587,16 @@ class ConstraintStore:
             if ka or kb:
                 return "fail"
             return self._prune_eq_atomish(a, da, b, db)
-        changed = False
         if isinstance(a, Var) and isinstance(b, Var):
-            sa = da.shift(ka)
-            sb = db.shift(kb)
-            common = sa.intersect(sb)
+            common = da.shift(ka).intersect(db.shift(kb))
             if common.empty:
                 return "fail"
             na, nb = common.shift(-ka), common.shift(-kb)
             if na != da:
                 self._set_domain(a, na)
-                changed = True
             if nb != db:
                 self._set_domain(b, nb)
-                changed = True
-            if common.singleton is not None:
-                return "entail"
-            return "change" if changed else "none"
+            return "entail" if common.singleton is not None else "none"
         if isinstance(a, Int) and isinstance(b, Int):
             return "entail" if a.value + ka == b.value + kb else "fail"
         # one side fixed integer
@@ -687,17 +629,12 @@ class ConstraintStore:
         common = da.intersect(db)
         if common.empty:
             return "fail"
-        changed = False
         if common != da:
             self._set_domain(a, common)
-            changed = True
-        recomputed = AtomDomain.of([x for x in db.atoms if x in common.atoms])
-        if recomputed != db:
-            self._set_domain(b, recomputed)
-            changed = True
-        if common.singleton is not None:
-            return "entail"
-        return "change" if changed else "none"
+        nb = db.intersect(common)       # b keeps its own atom order
+        if nb != db:
+            self._set_domain(b, nb)
+        return "entail" if common.singleton is not None else "none"
 
     def _prune_neq(self, a, ka, b, kb) -> str:
         if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
@@ -758,16 +695,13 @@ class ConstraintStore:
             return "none"
         if ba[1] <= bb[0]:
             return "entail"
-        r1 = self._clamp_var(a, ka, None, bb[1])
-        if r1 == "fail":
-            return "fail"
-        r2 = self._clamp_var(b, kb, ba[0], None)
-        if r2 == "fail":
+        if not (self._clamp_var(a, ka, None, bb[1])
+                and self._clamp_var(b, kb, ba[0], None)):
             return "fail"
         ba, bb = self._bounds(a, ka), self._bounds(b, kb)
         if ba and bb and ba[1] <= bb[0]:
             return "entail"
-        return "change" if "change" in (r1, r2) else "none"
+        return "none"
 
     def _prune_pending_term(self, idx: int, c) -> str:
         # woken when a previously untyped variable has acquired a domain
@@ -776,9 +710,7 @@ class ConstraintStore:
         if untyped:
             return "none"
         self._set_state(idx, DELEGATED)
-        ok = self.post(TermEq(c.a, c.b)) if isinstance(c, TermEq) \
-            else self.post(TermNeq(c.a, c.b))
-        return "none" if ok else "fail"
+        return "none" if self.post(c) else "fail"
 
     def _prune_or(self, idx: int, c: Or) -> str:
         ga, gb = self._try_ground(c.a), self._try_ground(c.b)
@@ -811,25 +743,18 @@ class ConstraintStore:
 
     def _try_ground(self, c: Constraint):
         """Truth value of a constraint whose operands are all fixed, else None."""
-        if isinstance(c, And):
-            a, b = self._try_ground(c.a), self._try_ground(c.b)
-            if a is False or b is False:
-                return False
-            if a is True and b is True:
-                return True
-            return None
-        if isinstance(c, Or):
-            a, b = self._try_ground(c.a), self._try_ground(c.b)
-            if a is True or b is True:
-                return True
-            if a is False and b is False:
-                return False
-            return None
+        if isinstance(c, _Junction):
+            # the value that decides the connective on its own: False for
+            # And, True for Or
+            decisive = isinstance(c, Or)
+            parts = (self._try_ground(c.a), self._try_ground(c.b))
+            if decisive in parts:
+                return decisive
+            return None if None in parts else not decisive
         if isinstance(c, (TermEq, TermNeq)):
             if not (is_ground(c.a) and is_ground(c.b)):
                 return None
-            eq = c.a == c.b
-            return eq if isinstance(c, TermEq) else not eq
+            return _TRUTH[type(c)](c.a, c.b)
         sa, sb = split_offset(c.a), split_offset(c.b)
         if sa is None or sb is None:
             return None
@@ -842,20 +767,8 @@ class ConstraintStore:
         if isinstance(vb, int):
             vb += sb[1]
         if type(va) is not type(vb):
-            return not isinstance(c, Eq) if isinstance(c, (Eq, Neq)) else False
-        if isinstance(c, Eq):
-            return va == vb
-        if isinstance(c, Neq):
-            return va != vb
-        if isinstance(c, Lt):
-            return va < vb
-        if isinstance(c, Le):
-            return va <= vb
-        if isinstance(c, Gt):
-            return va > vb
-        if isinstance(c, Ge):
-            return va >= vb
-        raise TypeError(c)
+            return isinstance(c, Neq)   # an atom never equals or orders an integer
+        return _TRUTH[type(c)](va, vb)
 
     def _test_sat(self, c: Constraint) -> bool:
         mark = self.snapshot()

@@ -66,8 +66,8 @@ class Struct:
     def arity(self) -> int:
         return len(self.args)
 
-    # equality and printing walk the term with a stack, like the walkers
-    # below; the generated hash still recurses (terms are not hashed)
+    # equality, hashing and printing walk the term with a stack, like the
+    # walkers below
     def __eq__(self, other):
         pairs = [(self, other)]
         while pairs:
@@ -79,6 +79,18 @@ class Struct:
             elif isinstance(a, Struct) or isinstance(b, Struct) or a != b:
                 return False
         return True
+
+    def __hash__(self):
+        # the prefix form with arities spells one term only
+        parts, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Struct):
+                parts.append((t.functor, len(t.args)))
+                stack.extend(t.args)
+            else:
+                parts.append(t)
+        return hash(tuple(parts))
 
     def __repr__(self):
         return spell(self, repr)
@@ -238,6 +250,21 @@ class IntegrityConstraint:
         return f"ic :- {', '.join(map(repr, self.body))}."
 
 
+def map_literal(lit: Literal, f) -> Literal:
+    """Copy of `lit` with each argument term mapped by `map_term(., f)`,
+    left to right."""
+    if isinstance(lit, UserLit):
+        return UserLit(lit.name, tuple(map_term(a, f) for a in lit.args))
+    if isinstance(lit, ConstraintLit):
+        return ConstraintLit(_store.map_constraint(lit.constraint, f))
+    if isinstance(lit, NafLit):
+        return NafLit(map_literal(lit.inner, f))
+    if isinstance(lit, DomainDecl):
+        return DomainDecl(map_term(lit.var, f), map_term(lit.lo, f),
+                          map_term(lit.hi, f), lit.atoms)
+    raise TypeError(lit)
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
@@ -279,16 +306,7 @@ class Substitution:
         return map_term(t, self.walk)
 
     def resolve_literal(self, lit: Literal) -> Literal:
-        if isinstance(lit, UserLit):
-            return UserLit(lit.name, tuple(self.resolve(a) for a in lit.args))
-        if isinstance(lit, ConstraintLit):
-            return ConstraintLit(_store.resolve_constraint(lit.constraint, self))
-        if isinstance(lit, NafLit):
-            return NafLit(self.resolve_literal(lit.inner))
-        if isinstance(lit, DomainDecl):
-            return DomainDecl(self.resolve(lit.var), self.resolve(lit.lo),
-                              self.resolve(lit.hi), lit.atoms)
-        raise TypeError(lit)
+        return map_literal(lit, self.walk)
 
     def occurs(self, v: Var, t: Term) -> bool:
         stack = [t]
@@ -374,51 +392,39 @@ def unify(t1: Term, t2: Term, store) -> Optional[tuple]:
 # Standardize apart
 # ---------------------------------------------------------------------------
 
-def _rename_term(t: Term, mapping: dict, counter: VarCounter) -> Term:
+def _renamer(counter: VarCounter):
+    """(rename, mapping) for one renaming: rename maps each variable to a
+    fresh one, the same one every time, recorded in mapping, and leaves
+    every other subterm alone."""
+    mapping: dict[int, Var] = {}
+
     def rename(t):
         if not isinstance(t, Var):
             return t
         if t.id not in mapping:
             mapping[t.id] = counter.fresh(t.name)
         return mapping[t.id]
-    return map_term(t, rename)
-
-
-def _rename_literal(lit: Literal, mapping: dict, counter: VarCounter) -> Literal:
-    if isinstance(lit, UserLit):
-        return UserLit(lit.name, tuple(_rename_term(a, mapping, counter)
-                                       for a in lit.args))
-    if isinstance(lit, ConstraintLit):
-        return ConstraintLit(_store.rename_constraint(lit.constraint, mapping,
-                                                     counter))
-    if isinstance(lit, NafLit):
-        return NafLit(_rename_literal(lit.inner, mapping, counter))
-    if isinstance(lit, DomainDecl):
-        return DomainDecl(_rename_term(lit.var, mapping, counter),
-                          _rename_term(lit.lo, mapping, counter),
-                          _rename_term(lit.hi, mapping, counter),
-                          lit.atoms)
-    raise TypeError(lit)
+    return rename, mapping
 
 
 def standardize_apart(clause: Clause, counter: VarCounter) -> tuple:
     """Fresh copy of a clause; returns (clause, renamed-variable list)."""
-    mapping: dict[int, Var] = {}
-    head = _rename_literal(clause.head, mapping, counter)
-    body = tuple(_rename_literal(b, mapping, counter) for b in clause.body)
+    rename, mapping = _renamer(counter)
+    head = map_literal(clause.head, rename)
+    body = tuple(map_literal(b, rename) for b in clause.body)
     return Clause(head, body), list(mapping.values())
 
 
 def standardize_ic(ic: IntegrityConstraint, counter: VarCounter) -> tuple:
-    mapping: dict[int, Var] = {}
-    body = tuple(_rename_literal(b, mapping, counter) for b in ic.body)
+    rename, mapping = _renamer(counter)
+    body = tuple(map_literal(b, rename) for b in ic.body)
     return IntegrityConstraint(body), list(mapping.values())
 
 
 def rename_conjunction(lits, counter: VarCounter) -> list:
     """Rename a goal conjunction apart with one shared variable mapping."""
-    mapping: dict[int, Var] = {}
-    return [_rename_literal(l, mapping, counter) for l in lits]
+    rename, _ = _renamer(counter)
+    return [map_literal(l, rename) for l in lits]
 
 
 # bound last: store imports the names above from this module

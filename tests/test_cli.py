@@ -166,3 +166,10 @@ def test_bench_reschedule_small(capsys):
     assert code == 0
     row = out.strip().splitlines()[-1]
     assert "vs" in row and "VALID" in row
+
+
+def test_bench_reschedule_reports_no_answer(monkeypatch, capsys):
+    monkeypatch.setattr("aclp.cli.solve", lambda *args, **kwargs: iter(()))
+    code, out, _ = run(capsys, "bench", "reschedule", "--sizes", "6")
+    assert code == 0
+    assert out.strip().splitlines()[-1].endswith("NO ANSWER")

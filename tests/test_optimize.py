@@ -1,6 +1,7 @@
 """Branch-and-bound minimization and minimal-change selection."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -8,7 +9,7 @@ from aclp import (Config, EmptyStreamError, UnknownVariableError, change_count,
                   compile_naf, find_cost_var, min_changes, minimize,
                   parse_goal, parse_theory, reschedule, solve)
 from aclp.optimize import label_preferences
-from aclp.terms import Atom, Int, UserLit
+from aclp.terms import Atom, Int, Struct, UserLit
 
 
 def first_answer(text, goal):
@@ -190,4 +191,13 @@ def test_reschedule_with_feasible_reference_changes_nothing():
     reference = lits(("s", (1, 3)), ("s", (2, 8)))
     best = reschedule(theory, parse_goal("g"), reference,
                       config=Config(time_budget=5.0))
+    assert best.changes == 0
+
+
+def test_reschedule_reference_nested_deeper_than_the_recursion_limit():
+    term = Atom("z")
+    for _ in range(2 * sys.getrecursionlimit()):
+        term = Struct("s", (term,))
+    theory = parse_theory("abducible_predicate(h/1). g :- h(X).")
+    best = reschedule(theory, parse_goal("g"), (UserLit("h", (term,)),))
     assert best.changes == 0

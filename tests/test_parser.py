@@ -1,8 +1,11 @@
 """Surface syntax: parsing, error reporting and pretty-print round-trips."""
 
+import sys
+
 import pytest
 
 from aclp.corpus import generate_blocks, generate_jobshop
+from aclp.engine import solve
 from aclp.parser import (ParseFailure, format_theory, parse_goal, parse_theory)
 from aclp.store import And, Eq, Le, Lt, Neq, Or, TermEq
 from aclp.terms import (ConstraintLit, DomainDecl, Int, NafLit, Struct,
@@ -163,3 +166,13 @@ def test_round_trip_preserves_goal_rendering():
     printed = ", ".join(format_literal(l) for l in goal)
     goal2 = parse_goal(printed)
     assert ", ".join(format_literal(l) for l in goal2) == printed
+
+
+def test_nesting_deeper_than_the_recursion_limit():
+    n = 2 * sys.getrecursionlimit()
+    deep = "s(" * n + "z" + ")" * n
+    theory = parse_theory(f"p({deep}).")
+    printed = format_theory(theory)
+    assert printed == f"p({deep}).\n"
+    assert parse_theory(printed).clauses == theory.clauses
+    assert next(solve(theory, parse_goal(f"p({deep})")), None) is not None

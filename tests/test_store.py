@@ -56,6 +56,20 @@ def test_atom_domain_basics():
     assert list(d.intersect(AtomDomain.of(["c", "a"])).values()) == ["a"]
 
 
+def test_intersections_match_set_intersection():
+    rng = random.Random(0)
+    for _ in range(300):
+        d1, d2 = (IntDomain.of(rng.sample(range(-20, 40), rng.randint(0, 30)))
+                  for _ in range(2))
+        assert d1.intersect(d2) == IntDomain.of(
+            set(d1.values()) & set(d2.values()))
+        names = [f"a{i}" for i in range(12)]
+        a1 = AtomDomain.of(rng.sample(names, rng.randint(0, 12)))
+        a2 = AtomDomain.of(rng.sample(names, rng.randint(0, 12)))
+        assert list(a1.intersect(a2).values()) == \
+            [x for x in a1.values() if a2.contains(x)]
+
+
 # -- declaration ------------------------------------------------------------
 
 def test_redeclare_intersects():
@@ -267,6 +281,9 @@ def test_split_offset_normalizes_sums():
     assert split_offset(Struct("-", (x, Int(1)))) == (x, -1)
     assert split_offset(x) == (x, 0)
     assert split_offset(Int(4)) == (Int(4), 0)
+    # the grammar allows one offset on a variable, not a sum of them
+    y = Var("Y", 1)
+    assert split_offset(Struct("+", (Struct("+", (y, Int(1))), Int(1)))) is None
 
 
 # -- oracle agreement on a quick fixed sample -------------------------------
