@@ -8,13 +8,14 @@ Exit codes: 0 with at least one answer, 1 with none, 2 on any error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import random
 import sys
 import time
 
 from .engine import Answer, Config, solve
-from .corpus import add_unavailability, generate_blocks, generate_jobshop
+from .corpus import (first_ground, generate_blocks, generate_jobshop,
+                     reschedule_case)
 from .optimize import (GroundAnswer, change_count, find_cost_var, min_changes,
                        minimize, reschedule)
 from .parser import (format_constraint, format_literal, format_term,
@@ -38,8 +39,25 @@ def _parse_literals(text: str):
     return lits
 
 
+def _read(path) -> str:
+    """Text of a file named on the command line; "" when none is named."""
+    if path is None:
+        return ""
+    with open(path) as f:
+        return f.read()
+
+
+def _delta_line(delta) -> str:
+    return "Δ = {" + ", ".join(format_literal(l) for l in delta) + "}"
+
+
+def _hypotheses(delta) -> list:
+    return [{"predicate": l.name, "args": [format_term(a) for a in l.args]}
+            for l in delta]
+
+
 def _render_ground(ga: GroundAnswer) -> list:
-    lines = ["Δ = {" + ", ".join(format_literal(l) for l in ga.delta) + "}"]
+    lines = [_delta_line(ga.delta)]
     if ga.objective is not None:
         lines.append(f"objective = {ga.objective}")
     if ga.changes is not None:
@@ -48,7 +66,7 @@ def _render_ground(ga: GroundAnswer) -> list:
 
 
 def _render_answer(ans: Answer) -> list:
-    lines = ["Δ = {" + ", ".join(format_literal(l) for l in ans.delta) + "}"]
+    lines = [_delta_line(ans.delta)]
     rendered = ans.store.render()
     if rendered:
         lines.extend(rendered.splitlines())
@@ -56,9 +74,7 @@ def _render_answer(ans: Answer) -> list:
 
 
 def _json_answer(ans: Answer) -> dict:
-    doc = {"hypotheses": [
-        {"predicate": l.name,
-         "args": [format_term(a) for a in l.args]} for l in ans.delta]}
+    doc = {"hypotheses": _hypotheses(ans.delta)}
     domains = {}
     for v in ans.store_vars():
         domains[v.name] = repr(ans.store.domains[v.id])
@@ -69,10 +85,8 @@ def _json_answer(ans: Answer) -> dict:
 
 
 def _json_ground(ga: GroundAnswer) -> dict:
-    doc = {"hypotheses": [
-        {"predicate": l.name,
-         "args": [format_term(a) for a in l.args]} for l in ga.delta],
-        "domains": {}, "constraints": []}
+    doc = {"hypotheses": _hypotheses(ga.delta), "domains": {},
+           "constraints": []}
     if ga.objective is not None:
         doc["objective"] = ga.objective
     if ga.changes is not None:
@@ -93,8 +107,8 @@ def _label_answer(ans: Answer, strategy: str):
 
 def _cmd_solve(args) -> int:
     try:
-        with open(args.file) as f:
-            text = f.read()
+        text, initial_text, reference_text = map(
+            _read, (args.file, args.initial, args.min_changes))
     except OSError as e:
         print(e, file=sys.stderr)
         return 2
@@ -106,10 +120,7 @@ def _cmd_solve(args) -> int:
             print(e, file=sys.stderr)
         return 2
     goal = parse_goal(args.goal)
-    initial = ()
-    if args.initial:
-        with open(args.initial) as f:
-            initial = tuple(_parse_literals(f.read()))
+    initial = tuple(_parse_literals(initial_text))
     config = Config(max_depth=args.max_depth,
                     ic_order=_IC_ORDERS[args.ic_order],
                     time_budget=args.time_budget)
@@ -117,8 +128,7 @@ def _cmd_solve(args) -> int:
 
     blocks, docs = [], []
     if args.min_changes:
-        with open(args.min_changes) as f:
-            reference = tuple(_parse_literals(f.read()))
+        reference = tuple(_parse_literals(reference_text))
         ga = reschedule(theory, goal, reference, config=config,
                         strategy=strategy)
         blocks.append(_render_ground(ga))
@@ -131,7 +141,7 @@ def _cmd_solve(args) -> int:
                 blocks.append(_render_ground(ga))
                 docs.append(_json_ground(ga))
     else:
-        count = args.all if args.all else 1
+        count = args.all or 1
         for i, ans in enumerate(solve(theory, goal, initial, config)):
             if args.label:
                 ga = _label_answer(ans, strategy)
@@ -155,74 +165,43 @@ def _cmd_solve(args) -> int:
     return 0 if blocks else 1
 
 
-def _bench_blocksworld(sizes, seed, config):
-    rows = []
-    for n in sizes:
-        inst = generate_blocks(n, seed)
-        theory = compile_naf(parse_theory(inst.program), mode="validate")
-        goal = parse_goal(inst.goal_text)
-        t0 = time.perf_counter()
-        ans = next(solve(theory, goal, config=config), None)
-        verdict, metric = "NO ANSWER", 0
-        if ans is not None:
-            sol = next(iter(ans.labellings()))
-            ground = ans.ground_delta(sol)
-            ok, reason = validate_blocks_plan(inst, ground)
-            verdict = "VALID" if ok else f"INVALID({reason})"
-            metric = len(extract_moves(ground))
-        rows.append((n, time.perf_counter() - t0, f"{metric} moves", verdict))
-    return rows
+def _verdict(ok: bool, reason: str) -> str:
+    return "VALID" if ok else f"INVALID({reason})"
 
 
-def _bench_jobshop(sizes, seed, config):
-    rows = []
-    for n in sizes:
-        inst = generate_jobshop(n, seed)
-        theory = parse_theory(inst.program)
-        goal = parse_goal(inst.goal_text)
-        t0 = time.perf_counter()
-        ans = next(solve(theory, goal, config=config), None)
-        verdict, metric = "NO ANSWER", 0
-        if ans is not None:
-            sol = next(iter(ans.labellings()))
-            ground = ans.ground_delta(sol)
-            ok, reason = validate_jobshop_schedule(inst, ground)
-            verdict = "VALID" if ok else f"INVALID({reason})"
-            starts = extract_starts(ground)
-            metric = max(starts[t.index] + t.duration for t in inst.tasks)
-        rows.append((n, time.perf_counter() - t0, f"makespan {metric}", verdict))
-    return rows
+def _bench_blocksworld(n, seed, config):
+    inst = generate_blocks(n, seed)
+    ground = first_ground(inst, config)
+    if ground is None:
+        return "0 moves", "NO ANSWER"
+    return (f"{len(extract_moves(ground))} moves",
+            _verdict(*validate_blocks_plan(inst, ground)))
 
 
-def _bench_reschedule(sizes, seed, config):
-    rows = []
-    for n in sizes:
-        inst = generate_jobshop(n, seed)
-        theory = parse_theory(inst.program)
-        goal = parse_goal(inst.goal_text)
-        t0 = time.perf_counter()
-        ans = next(solve(theory, goal, config=config), None)
-        inst2 = add_unavailability(inst, seed)
-        theory2 = parse_theory(inst2.program)
-        fresh_ans = next(solve(theory2, goal, config=config), None)
-        if ans is None or fresh_ans is None:
-            rows.append((n, time.perf_counter() - t0, "0 vs 0 changes",
-                         "NO ANSWER"))
-            continue
-        old = ans.ground_delta(next(ans.labellings(rng=random.Random(seed))))
-        fresh = fresh_ans.ground_delta(next(fresh_ans.labellings()))
-        fresh_ok, _ = validate_jobshop_schedule(inst2, fresh)
-        fresh_changes = change_count(fresh, old)
+def _bench_jobshop(n, seed, config):
+    inst = generate_jobshop(n, seed)
+    ground = first_ground(inst, config)
+    if ground is None:
+        return "makespan 0", "NO ANSWER"
+    starts = extract_starts(ground)
+    makespan = max(starts[t.index] + t.duration for t in inst.tasks)
+    return (f"makespan {makespan}",
+            _verdict(*validate_jobshop_schedule(inst, ground)))
 
-        budget = config.time_budget if config.time_budget else 10.0
-        re_cfg = Config(max_depth=config.max_depth, ic_order=config.ic_order,
-                        time_budget=budget)
-        ga = reschedule(theory2, goal, old, config=re_cfg)
-        re_ok, _ = validate_jobshop_schedule(inst2, ga.delta)
-        verdict = "VALID" if fresh_ok and re_ok else "INVALID"
-        rows.append((n, time.perf_counter() - t0,
-                     f"{ga.changes} vs {fresh_changes} changes", verdict))
-    return rows
+
+def _bench_reschedule(n, seed, config):
+    inst, changed, old = reschedule_case(n, seed, config)
+    fresh = first_ground(changed, config)
+    if old is None or fresh is None:
+        return "0 vs 0 changes", "NO ANSWER"
+    budget = dataclasses.replace(config,
+                                 time_budget=config.time_budget or 10.0)
+    ga = reschedule(parse_theory(changed.program),
+                    parse_goal(changed.goal_text), old, config=budget)
+    ok = (validate_jobshop_schedule(changed, fresh)[0]
+          and validate_jobshop_schedule(changed, ga.delta)[0])
+    return (f"{ga.changes} vs {change_count(fresh, old)} changes",
+            "VALID" if ok else "INVALID")
 
 
 _SUITES = {"blocksworld": _bench_blocksworld, "jobshop": _bench_jobshop,
@@ -231,11 +210,21 @@ _SUITES = {"blocksworld": _bench_blocksworld, "jobshop": _bench_jobshop,
 
 def _cmd_bench(args) -> int:
     config = Config(max_depth=args.max_depth, time_budget=args.time_budget)
-    rows = _SUITES[args.suite](args.sizes, args.seed, config)
+    suite = _SUITES[args.suite]
     print(f"{'size':>6}  {'time':>8}  {'metric':<22}  verdict")
-    for size, secs, metric, verdict in rows:
-        print(f"{size:>6}  {secs:>7.2f}s  {metric:<22}  {verdict}")
+    for n in args.sizes:
+        t0 = time.perf_counter()
+        metric, verdict = suite(n, args.seed, config)
+        print(f"{n:>6}  {time.perf_counter() - t0:>7.2f}s  {metric:<22}  "
+              f"{verdict}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--goal", required=True)
     s.add_argument("--initial", help="file of initial hypothesis facts")
     mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--all", type=int, metavar="N",
+    mode.add_argument("--all", type=_positive_int, metavar="N",
                       help="emit up to N answers (default: first only)")
     mode.add_argument("--minimize", metavar="VAR",
                       help="branch-and-bound minimize a store variable")
@@ -267,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a benchmark suite")
     b.add_argument("suite", choices=sorted(_SUITES))
-    b.add_argument("--sizes", type=int, nargs="+", required=True)
+    b.add_argument("--sizes", type=_positive_int, nargs="+", required=True)
     b.add_argument("--seed", type=int, default=DEFAULT_BENCH_SEED)
     b.add_argument("--max-depth", type=int, default=10000)
     b.add_argument("--time-budget", type=float, default=None)

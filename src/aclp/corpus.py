@@ -4,6 +4,8 @@ scheduling, plus the packaged event-calculus example program.
 Generators emit complete program text (parseable by `parse_theory`) and a
 goal string, along with enough structured data for the validators in
 `aclp.validators` to check answers independently of the engine.
+`first_ground` and `reschedule_case` run the first-answer pipeline that
+`aclp bench`, the acceptance tests and the golden record share.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
+
+from .engine import solve
+from .parser import parse_goal, parse_theory
+from .theory import compile_naf
 
 
 def event_calculus_program() -> str:
@@ -261,3 +267,28 @@ def add_unavailability(inst: JobshopInstance, seed: int) -> JobshopInstance:
     out = JobshopInstance(list(inst.tasks), inst.horizon, windows)
     out.program = _jobshop_program(out.tasks, out.horizon, windows)
     return out
+
+
+# ---------------------------------------------------------------------------
+# First answers
+# ---------------------------------------------------------------------------
+
+def first_ground(inst, config=None, rng=None):
+    """Ground Δ of the first labelling of an instance's first answer, or
+    None when it has no answer.  `rng` shuffles the labelling's value
+    order."""
+    theory = compile_naf(parse_theory(inst.program), mode="validate")
+    ans = next(solve(theory, parse_goal(inst.goal_text), config=config), None)
+    if ans is None:
+        return None
+    return ans.ground_delta(next(ans.labellings(rng=rng)))
+
+
+def reschedule_case(n_tasks: int, seed: int, config=None):
+    """The rescheduling scenario: (instance, the instance with one resource
+    window added, the old schedule).  The old schedule is the instance's
+    first answer labelled in an order shuffled by `random.Random(seed)`,
+    or None when it has no answer."""
+    inst = generate_jobshop(n_tasks, seed)
+    old = first_ground(inst, config, random.Random(seed))
+    return inst, add_unavailability(inst, seed), old

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .store import (And, Constraint, Eq, Ge, Gt, Le, Lt, Neq, Or, TermEq,
-                    TermNeq)
+                    TermNeq, spell_constraint)
 from .terms import (AclpError, Atom, Clause, ConstraintLit, DomainDecl, Int,
                     IntegrityConstraint, NafLit, Struct, UserLit, Var,
                     spell)
@@ -206,8 +206,7 @@ class _Parser:
             self.advance()
             return self.parse_domain_decl(term)
         if self.at_op(*_COMPARISONS, And.op, Or.op):
-            c = self.parse_cexpr_rest(term)
-            return ConstraintLit(c)
+            return ConstraintLit(self.parse_cexpr(self.parse_comparison(term)))
         return self.term_to_userlit(term)
 
     def parse_plain_userlit(self) -> UserLit:
@@ -247,44 +246,44 @@ class _Parser:
 
     # -- constraint expressions ----------------------------------------------
 
-    def parse_cexpr(self) -> Constraint:
-        c = self.parse_cconj()
-        while self.at_op(Or.op):
-            self.advance()
-            c = Or(c, self.parse_cconj())
-        return c
-
-    def parse_cconj(self) -> Constraint:
-        c = self.parse_cprimary()
-        while self.at_op(And.op):
-            self.advance()
-            c = And(c, self.parse_cprimary())
-        return c
-
-    def parse_cprimary(self) -> Constraint:
-        if self.at_op("("):
-            self.advance()
-            c = self.parse_cexpr()
+    def parse_cexpr(self, first: Constraint = None) -> Constraint:
+        """A constraint expression, the `constraint` rule of docs/syntax.md:
+        `#/\\` binds tighter than `#\\/`, and both group to the left.
+        `first` is a primitive already parsed.  Each open bracket keeps its
+        disjunction and conjunction so far on a stack, so brackets nest
+        without recursion."""
+        stack = []
+        disj = conj = None
+        c = first
+        while True:
+            if c is None:
+                if self.at_op("("):
+                    self.advance()
+                    stack.append((disj, conj))
+                    disj = conj = None
+                    continue
+                c = self.parse_comparison(self.parse_arith_term())
+            conj = c if conj is None else And(conj, c)
+            c = None
+            if self.at_op(And.op):
+                self.advance()
+                continue
+            disj = conj if disj is None else Or(disj, conj)
+            conj = None
+            if self.at_op(Or.op):
+                self.advance()
+                continue
+            if not stack:
+                return disj
             self.expect_op(")")
-            return c
-        lhs = self.parse_arith_term()
-        return self.parse_comparison(lhs)
+            c = disj
+            disj, conj = stack.pop()
 
     def parse_comparison(self, lhs) -> Constraint:
         if not self.at_op(*_COMPARISONS):
             self.fail("expected a constraint operator")
         cls = _COMPARISONS[self.advance().text]
         return cls(lhs, self.parse_arith_term())
-
-    def parse_cexpr_rest(self, lhs) -> Constraint:
-        c = self.parse_comparison(lhs)
-        while self.at_op(And.op):
-            self.advance()
-            c = And(c, self.parse_cprimary())
-        while self.at_op(Or.op):
-            self.advance()
-            c = Or(c, self.parse_cconj())
-        return c
 
     # -- clauses and programs ------------------------------------------------
 
@@ -377,13 +376,16 @@ def format_term(t) -> str:
     return spell(t, _format_leaf, ("+", "-"))
 
 
-def format_constraint(c, top: bool = True) -> str:
-    if isinstance(c, (And, Or)):
-        s = f"{format_constraint(c.a, False)} {c.op} {format_constraint(c.b, False)}"
-        return s if top else f"({s})"
+def _format_comparison(c) -> str:
     if isinstance(c, TermNeq):
         raise ValueError(f"constraint {c!r} has no surface syntax")
     return f"{format_term(c.a)} {c.op} {format_term(c.b)}"
+
+
+def format_constraint(c) -> str:
+    """Source text of a constraint; nested connectives are bracketed."""
+    text = spell_constraint(c, _format_comparison)
+    return text[1:-1] if isinstance(c, (And, Or)) else text
 
 
 def format_literal(lit) -> str:

@@ -235,7 +235,7 @@ class _Junction(Constraint):
     """A connective over two constraints, printed in brackets."""
 
     def __repr__(self):
-        return f"({self.a!r} {self.op} {self.b!r})"
+        return spell_constraint(self, Constraint.__repr__)
 
 
 class And(_Junction):
@@ -256,28 +256,73 @@ _TRUTH = {Eq: operator.eq, Neq: operator.ne, Lt: operator.lt, Le: operator.le,
           TermNeq: operator.ne}
 
 
+# The walkers below keep an explicit stack rather than recursing, so
+# connectives may nest as deep as memory allows, and visit the comparisons
+# of a constraint left to right.  Most constraints are a single comparison,
+# which `_fold` and `map_constraint` handle without building a stack.
+
+def _fold(c: Constraint, leaf, join):
+    """leaf(x) of each comparison x in `c`, combined bottom-up by
+    join(connective, value of its left side, value of its right side)."""
+    if not isinstance(c, _Junction):
+        return leaf(c)
+    done, stack = [], [(c, False)]    # (node, sides already folded)
+    while stack:
+        x, joined = stack.pop()
+        if joined:
+            b = done.pop()
+            done.append(join(x, done.pop(), b))
+        elif isinstance(x, _Junction):
+            stack += [(x, True), (x.b, False), (x.a, False)]
+        else:
+            done.append(leaf(x))
+    return done[0]
+
+
+def _parts(c: Constraint, kind=_Junction) -> Iterator[Constraint]:
+    """The largest subconstraints of `c` that are not `kind` connectives."""
+    stack = [c]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, kind):
+            stack += [x.b, x.a]
+        else:
+            yield x
+
+
 def negate(c: Constraint) -> Constraint:
     """Mathematical negation; an involution on the constraint language."""
-    if isinstance(c, _Junction):   # De Morgan
-        return _NEGATION[type(c)](negate(c.a), negate(c.b))
-    return _NEGATION[type(c)](c.a, c.b)
+    return _fold(c, lambda x: _NEGATION[type(x)](x.a, x.b),
+                 lambda x, a, b: _NEGATION[type(x)](a, b))   # De Morgan
+
+
+def _join_truth(c: Constraint, a, b):
+    """Truth of a connective from the truth of its sides (None: unknown)."""
+    decisive = isinstance(c, Or)      # the value that decides it on its own
+    if decisive in (a, b):
+        return decisive
+    return None if None in (a, b) else not decisive
 
 
 def constraint_vars(c: Constraint) -> Iterator[Var]:
-    if isinstance(c, _Junction):
-        yield from constraint_vars(c.a)
-        yield from constraint_vars(c.b)
-    else:
-        yield from term_vars(c.a)
-        yield from term_vars(c.b)
+    for x in _parts(c):
+        yield from term_vars(x.a)
+        yield from term_vars(x.b)
 
 
 def map_constraint(c: Constraint, f) -> Constraint:
     """Copy of `c` with each operand term mapped by `map_term(., f)`, left
     to right."""
-    if isinstance(c, _Junction):
-        return type(c)(map_constraint(c.a, f), map_constraint(c.b, f))
-    return type(c)(map_term(c.a, f), map_term(c.b, f))
+    if not isinstance(c, _Junction):   # the common case, without closures
+        return type(c)(map_term(c.a, f), map_term(c.b, f))
+    return _fold(c, lambda x: map_constraint(x, f),
+                 lambda x, a, b: type(x)(a, b))
+
+
+def spell_constraint(c: Constraint, leaf) -> str:
+    """Text of `c`: leaf(x) for each comparison x, and `(a op b)` for each
+    connective."""
+    return _fold(c, leaf, lambda x, a, b: f"({a} {x.op} {b})")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +451,7 @@ class ConstraintStore:
         if not self.consistent:
             return False
         if isinstance(c, And):
-            return self.post(c.a) and self.post(c.b)
+            return all(self.post(x) for x in _parts(c, And))
         if isinstance(c, TermEq):
             return self._post_term_eq(c)
         if isinstance(c, TermNeq):
@@ -743,14 +788,9 @@ class ConstraintStore:
 
     def _try_ground(self, c: Constraint):
         """Truth value of a constraint whose operands are all fixed, else None."""
-        if isinstance(c, _Junction):
-            # the value that decides the connective on its own: False for
-            # And, True for Or
-            decisive = isinstance(c, Or)
-            parts = (self._try_ground(c.a), self._try_ground(c.b))
-            if decisive in parts:
-                return decisive
-            return None if None in parts else not decisive
+        return _fold(c, self._ground_truth, _join_truth)
+
+    def _ground_truth(self, c: Constraint):
         if isinstance(c, (TermEq, TermNeq)):
             if not (is_ground(c.a) and is_ground(c.b)):
                 return None
@@ -799,25 +839,55 @@ class ConstraintStore:
               rng=None, prefer: dict = None) -> Iterator[dict]:
         """Depth-first enumeration of ground valuations of `vars`.
 
-        Yields dicts mapping each Var to an Int or Atom term.  The search
-        propagates after every assignment; value order is ascending for
-        integers and declaration order for atoms, optionally shuffled by
+        Yields dicts mapping each variable's id to an Int or Atom term.  The
+        search propagates after every assignment; value order is ascending
+        for integers and declaration order for atoms, optionally shuffled by
         `rng` for randomized harness runs.  `prefer` maps variable ids to
         values to try first (used by minimal-change rescheduling).
         """
-        vs = [v for v in vars if self.has_domain(v)]
-        yield from self._label(vs, strategy, rng, prefer or {}, {})
-
-    def _label(self, vs, strategy, rng, prefer, acc) -> Iterator[dict]:
         if not self.consistent:
             return
-        pending = [v for v in vs if v.id not in acc]
-        if not pending:
-            yield dict(acc)
-            return
-        if strategy == "first_fail":
-            pending.sort(key=lambda v: (self.domains[v.id].size, v.id))
-        v = pending[0]
+        vs = [v for v in vars if self.has_domain(v)]
+        prefer = prefer or {}
+        acc = {}                      # variable id -> its value on this path
+        # (variable, its values not yet tried, mark before its value on this
+        # path) per labelled variable: the search keeps its own stack, so it
+        # does not recurse however many variables there are
+        path = []
+        while True:
+            pending = [v for v in vs if v.id not in acc]
+            if pending:
+                v = pending[0] if strategy != "first_fail" else min(
+                    pending, key=lambda u: (self.domains[u.id].size, u.id))
+                path.append((v, self._value_order(v, rng, prefer), None))
+            else:
+                yield dict(acc)
+            # move the deepest variable with a value left to that value
+            while path:
+                v, values, mark = path.pop()
+                if mark is not None:
+                    del acc[v.id]
+                    self.restore(mark)
+                step = self._post_next(v, values)
+                if step is not None:
+                    mark, acc[v.id] = step
+                    path.append((v, values, mark))
+                    break
+            else:
+                return
+
+    def _post_next(self, v, values):
+        """Post `v = x` for the next value x that propagates: (mark before
+        it, x as a term), or None when no value is left."""
+        for val in values:
+            term = Int(val) if isinstance(val, int) else Atom(val)
+            mark = self.snapshot()
+            if self.post(Eq(v, term)):
+                return mark, term
+            self.restore(mark)
+        return None
+
+    def _value_order(self, v, rng, prefer) -> Iterator:
         dom = self.domains[v.id]
         values = dom.values()          # lazy: a domain may hold 10^7 values
         if rng is not None:
@@ -827,14 +897,7 @@ class ConstraintStore:
         if isinstance(first, int if isinstance(dom, IntDomain) else str) \
                 and dom.contains(first):
             values = chain((first,), (x for x in values if x != first))
-        for val in values:
-            term = Int(val) if isinstance(val, int) else Atom(val)
-            mark = self.snapshot()
-            if self.post(Eq(v, term)):
-                acc[v.id] = term
-                yield from self._label(vs, strategy, rng, prefer, acc)
-                del acc[v.id]
-            self.restore(mark)
+        return iter(values)
 
     # -- misc ----------------------------------------------------------------
 

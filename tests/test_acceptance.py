@@ -14,7 +14,8 @@ import pytest
 from aclp import (Config, change_count, compile_naf, parse_goal, parse_theory,
                   reschedule, solve)
 from aclp.corpus import (add_unavailability, event_calculus_program,
-                         generate_blocks, generate_jobshop)
+                         first_ground, generate_blocks, generate_jobshop,
+                         reschedule_case)
 from aclp.parser import format_theory
 from aclp.store import ConstraintStore, negate
 from aclp.validators import (extract_moves, validate_blocks_plan,
@@ -124,14 +125,11 @@ def test_blocks_world_plans_are_valid(n_blocks):
     """Sizes 3-8 with ⌈n/3⌉ table positions: a VALID plan within 120s.
     Move counts are reported, not asserted."""
     inst = generate_blocks(n_blocks, seed=BENCH_SEED)
-    theory = compile_naf(parse_theory(inst.program), mode="validate")
-    goal = parse_goal(inst.goal_text)
     t0 = time.monotonic()
-    ans = next(solve(theory, goal, config=Config(time_budget=115.0)), None)
+    ground = first_ground(inst, Config(time_budget=115.0))
     elapsed = time.monotonic() - t0
-    assert ans is not None, f"{n_blocks} blocks: no plan within budget"
+    assert ground is not None, f"{n_blocks} blocks: no plan within budget"
     assert elapsed < 120, f"{n_blocks} blocks took {elapsed:.1f}s"
-    ground = ans.ground_delta(next(ans.labellings()))
     ok, reason = validate_blocks_plan(inst, ground)
     assert ok, f"{n_blocks} blocks: {reason}"
     print(f"\n[report] {n_blocks} blocks: {len(extract_moves(ground))} moves "
@@ -147,25 +145,19 @@ def test_rescheduling_beats_reexecution(n_tasks):
     Tolerance: holds on at least 9 of the 10 seeded instances."""
     wins, results = 0, []
     for seed in range(5):
-        inst = generate_jobshop(n_tasks, seed)
-        theory = parse_theory(inst.program)
-        goal = parse_goal(inst.goal_text)
-        ans = next(solve(theory, goal))
-        old = ans.ground_delta(next(ans.labellings(rng=random.Random(seed))))
+        inst, changed, old = reschedule_case(n_tasks, seed)
         ok, reason = validate_jobshop_schedule(inst, old)
         assert ok, f"seed {seed}: original invalid: {reason}"
 
-        inst2 = add_unavailability(inst, seed)
-        theory2 = parse_theory(inst2.program)
-        fresh_ans = next(solve(theory2, goal))
-        fresh = fresh_ans.ground_delta(next(fresh_ans.labellings()))
-        ok, reason = validate_jobshop_schedule(inst2, fresh)
+        fresh = first_ground(changed)
+        ok, reason = validate_jobshop_schedule(changed, fresh)
         assert ok, f"seed {seed}: re-execution invalid: {reason}"
         fresh_changes = change_count(fresh, old)
 
-        best = reschedule(theory2, goal, old,
+        best = reschedule(parse_theory(changed.program),
+                          parse_goal(changed.goal_text), old,
                           config=Config(time_budget=10.0))
-        ok, reason = validate_jobshop_schedule(inst2, best.delta)
+        ok, reason = validate_jobshop_schedule(changed, best.delta)
         assert ok, f"seed {seed}: reschedule invalid: {reason}"
         results.append((seed, best.changes, fresh_changes))
         if best.changes < fresh_changes:

@@ -1,6 +1,7 @@
 """Command-line behavior: modes, exit codes, output formats."""
 
 import json
+import sys
 
 import pytest
 
@@ -49,6 +50,28 @@ def test_no_answer_exits_1(simple, capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent.aclp", "--goal", "g")
     assert code == 2 and err != ""
+
+
+@pytest.mark.parametrize("option", ["--initial", "--min-changes"])
+def test_missing_hypothesis_file_exits_2(simple, tmp_path, capsys, option):
+    code, _, err = run(capsys, "solve", simple, "--goal", "g(X)", option,
+                       str(tmp_path / "missing.facts"))
+    assert code == 2 and "missing.facts" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--all", "0"],
+    ["--all", "-2"],
+    ["bench", "jobshop", "--sizes", "0"],
+    ["bench", "reschedule", "--sizes", "5", "0"],
+])
+def test_counts_below_one_exit_2(simple, capsys, argv):
+    if argv[0] == "--all":
+        argv = ["solve", simple, "--goal", "g(X)"] + argv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -169,7 +192,23 @@ def test_bench_reschedule_small(capsys):
 
 
 def test_bench_reschedule_reports_no_answer(monkeypatch, capsys):
-    monkeypatch.setattr("aclp.cli.solve", lambda *args, **kwargs: iter(()))
+    monkeypatch.setattr("aclp.corpus.solve", lambda *args, **kwargs: iter(()))
     code, out, _ = run(capsys, "bench", "reschedule", "--sizes", "6")
     assert code == 0
     assert out.strip().splitlines()[-1].endswith("NO ANSWER")
+
+
+def test_disjunction_wider_than_the_recursion_limit(tmp_path, capsys):
+    n = 2 * sys.getrecursionlimit()
+    disjunction = " #\\/ ".join(["X #= 1"] * n)
+    p = tmp_path / "wide.aclp"
+    p.write_text(f"abducible_predicate(a/1).\ng :- X :: 0..5, a(X), {disjunction}.\n")
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "g")
+    assert code == 0 and out.count("#\\/") == n - 1
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "g", "--json")
+    (answer,) = json.loads(out)["answers"]
+    (c,) = answer["constraints"]
+    assert c.startswith("(" * (n - 2) + "X #= 1 #\\/ X #= 1) #\\/ X #= 1)")
+    assert c.count("#\\/") == n - 1
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "g", "--label")
+    assert code == 0 and out == "Δ = {a(1)}\n"

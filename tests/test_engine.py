@@ -287,6 +287,19 @@ def test_deeply_nested_terms_need_no_recursion():
     assert sys.getrecursionlimit() == limit
 
 
+def test_answers_with_more_variables_than_the_recursion_limit():
+    # the answer's emptiness probe and the first labelling each assign
+    # every variable on one search path
+    n = 2 * sys.getrecursionlimit()
+    xs = ", ".join(f"X{i}" for i in range(n))
+    theory = parse_theory(f"abducible_predicate(a/{n}).\ng({xs}) :- a({xs}).")
+    goal = parse_goal(f"g({xs}), " + ", ".join(f"X{i} :: 0..1"
+                                              for i in range(n)))
+    ans = next(solve(theory, goal))
+    sol = next(ans.labellings())
+    assert [sol[v.id] for v in ans.delta[0].args] == [Int(0)] * n
+
+
 def test_time_budget_stops_search():
     import time
     # a shallow but astronomically wide search (6^12 leaves, all failing)

@@ -21,7 +21,7 @@ import pytest
 
 from aclp import (Config, compile_naf, parse_goal, parse_theory, reschedule,
                   solve)
-from aclp.corpus import add_unavailability, generate_blocks, generate_jobshop
+from aclp.corpus import generate_blocks, generate_jobshop, reschedule_case
 
 from oracles import random_naf_program_text, random_theory_text
 
@@ -55,13 +55,10 @@ def stream_record(theory, goal):
 
 
 def reschedule_record(n, seed):
-    inst = generate_jobshop(n, seed)
-    goal = parse_goal(inst.goal_text)
-    ans = next(solve(parse_theory(inst.program), goal))
-    old = ans.ground_delta(next(ans.labellings(rng=random.Random(seed))))
-    changed = parse_theory(add_unavailability(inst, seed).program)
+    _, changed, old = reschedule_case(n, seed)
     try:
-        best = reschedule(changed, goal, old, config=Config())
+        best = reschedule(parse_theory(changed.program),
+                          parse_goal(changed.goal_text), old, config=Config())
     except Exception as exc:
         return {"error": type(exc).__name__}
     return {"delta": [repr(l) for l in best.delta], "changes": best.changes,

@@ -176,3 +176,14 @@ def test_nesting_deeper_than_the_recursion_limit():
     assert printed == f"p({deep}).\n"
     assert parse_theory(printed).clauses == theory.clauses
     assert next(solve(theory, parse_goal(f"p({deep})")), None) is not None
+
+
+def test_constraint_brackets_deeper_than_the_recursion_limit():
+    n = 2 * sys.getrecursionlimit()
+    nested = "(" * n + "X #= 1" + ")" * n
+    right = "X #= 1 #\\/ (" * n + "X #= 1 #\\/ X #= 2" + ")" * n
+    theory = parse_theory(f"p(X) :- X :: 0..5, {nested}, {right}.")
+    printed = format_theory(theory)
+    assert printed == f"p(X) :- X :: 0..5, X #= 1, {right}.\n"
+    assert format_theory(parse_theory(printed)) == printed
+    assert next(solve(theory, parse_goal("p(X)")), None) is not None

@@ -3,12 +3,14 @@ labelling and snapshots.  Expected values here were computed by hand or by
 the brute-force oracle in oracles.py."""
 
 import random
+import sys
 
 import pytest
 
 from aclp.store import (And, AtomDomain, ConstraintStore, Eq, Ge, Gt,
                         IntDomain, Le, Lt, Neq, Or, StoreTypeError, TermEq,
-                        TermNeq, negate, split_offset)
+                        TermNeq, constraint_vars, map_constraint, negate,
+                        split_offset)
 from aclp.terms import Atom, Int, Struct, Var
 
 from oracles import brute_force_solutions, build_store, store_solutions
@@ -168,6 +170,28 @@ def test_undeclared_arith_var_gets_default_domain():
     assert list(store.domains[x.id].values()) == [3, 4]
 
 
+def test_connectives_nested_deeper_than_the_recursion_limit():
+    n = 2 * sys.getrecursionlimit()
+    store, (x,) = make(list(range(n + 5)))
+    conj = Ge(x, Int(0))
+    for i in range(1, n):
+        conj = And(conj, Ge(x, Int(i)))
+    assert store.post(conj)
+    assert store.domains[x.id] == IntDomain.range(n - 1, n + 4)
+    text = repr(conj)
+    assert text.startswith("(" * (n - 1) + "_X0#0 #>= 0 #/\\ _X0#0 #>= 1)")
+    assert repr(negate(conj)) == \
+        text.replace("#/\\", "#\\/").replace("#>=", "#<")
+    assert list(constraint_vars(conj)) == [x] * n
+    y = Var("Y", 1)
+    assert repr(map_constraint(conj, lambda t: y if t == x else t)) == \
+        text.replace("_X0#0", "_Y#1")
+    assert store._try_ground(conj) is None
+    assert store.post(Eq(x, Int(n)))
+    assert store._try_ground(conj) is True
+    assert store._try_ground(negate(conj)) is False
+
+
 # -- negation ---------------------------------------------------------------
 
 def test_negate_table():
@@ -235,6 +259,14 @@ def test_label_seeded_rng_is_deterministic():
     assert sorted(runs[0]) == sorted(
         tuple(sorted((k, t.value) for k, t in sol.items()))
         for sol in store.clone().label(vars_))
+
+
+def test_label_more_variables_than_the_recursion_limit():
+    n = 2 * sys.getrecursionlimit()
+    store, vars_ = make(*[[0, 1]] * n)
+    sols = store.label(vars_)
+    assert next(sols) == {v.id: Int(0) for v in vars_}
+    assert next(sols) == {v.id: Int(v.id == n - 1) for v in vars_}
 
 
 # -- snapshots --------------------------------------------------------------
