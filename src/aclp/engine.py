@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from .store import (And, ConstraintStore, Eq, TermEq, constraint_vars,
                     map_constraint, negate, AtomDomain, IntDomain)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
-                    Substitution, UserLit, Var, VarCounter,
+                    Struct, Substitution, UserLit, Var, VarCounter,
                     UnknownPredicateError, rename_conjunction, map_literal,
                     map_term, standardize_apart, standardize_ic,
                     term_vars, unify_terms)
@@ -124,6 +124,70 @@ class _Match:
     b: tuple
 
 
+def _key(t):
+    """First-argument index key of a term (WAM clause indexing): a constant
+    is its own key, a compound is keyed by functor and arity, and a
+    variable has no key (None), because it unifies with anything."""
+    if isinstance(t, Var):
+        return None
+    if isinstance(t, Struct):
+        return (t.functor, len(t.args))
+    return t
+
+
+def _clash(k1, k2) -> bool:
+    """Whether terms with keys k1 and k2 can never unify."""
+    return k1 is not None and k2 is not None and k1 != k2
+
+
+def _var_count(lits) -> int:
+    """Number of distinct variables in `lits`: the ids renaming them apart
+    draws."""
+    ids = set()
+
+    def see(t):
+        if isinstance(t, Var):
+            ids.add(t.id)
+        return t
+
+    for lit in lits:
+        map_literal(lit, see)
+    return len(ids)
+
+
+class _ICIndex:
+    """The IC body literals of one indicator, looked up by first-argument
+    key.  Each entry is (ic, pos, ids drawn by renaming the entries before
+    it), in `ordered_ics` x `pos` order; `total` is the ids all of them
+    draw."""
+
+    def __init__(self, ics, indicator):
+        self.entries, keys, drawn = [], [], 0
+        for ic in ics:
+            nvars = None
+            for pos, b in enumerate(ic.body):
+                if isinstance(b, UserLit) and b.indicator == indicator:
+                    if nvars is None:
+                        nvars = _var_count(ic.body)
+                    self.entries.append((ic, pos, drawn))
+                    keys.append(_key(b.args[0]) if b.args else None)
+                    drawn += nvars
+        self.total = drawn
+        self._keys = keys
+        self._by_key = {}
+
+    def lookup(self, key):
+        """The entries whose first argument may unify with a term keyed
+        `key`."""
+        if key is None:
+            return self.entries
+        hit = self._by_key.get(key)
+        if hit is None:
+            hit = self._by_key[key] = [e for e, k in zip(self.entries, self._keys)
+                                       if k is None or k == key]
+        return hit
+
+
 _BUILTINS = {("true", 0), ("fail", 0)}
 _ANSWER = object()   # the continuation of a finished derivation
 
@@ -139,6 +203,7 @@ class Solver:
         self.denials: list = []        # (abducible lit, residual conjunction)
         self.local_ids: set[int] = set()
         self.ordered_ics = ic_order(theory.ics, self.config.ic_order)
+        self._ic_index: dict = {}      # indicator -> _ICIndex, on first use
         self.depth_limit_hit = False
         self.budget_hit = False
         self.answers_emitted = 0
@@ -167,6 +232,21 @@ class Solver:
     def _is_local(self, v: Var) -> bool:
         return v.id in self.local_ids
 
+    def _map_locals(self, items, f):
+        """Copies of `items` under the substitution, with each unbound,
+        domain-less local variable v replaced by f(v)."""
+        def g(t):
+            t = self.subst.walk(t)
+            if (isinstance(t, Var) and t.id in self.local_ids
+                    and not self.store.has_domain(t)):
+                return f(t)
+            return t
+
+        return [_Match(tuple(map_term(a, g) for a in i.a),
+                       tuple(map_term(b, g) for b in i.b))
+                if isinstance(i, _Match) else map_literal(i, g)
+                for i in items]
+
     def _fresh_locals(self, items):
         """Copies of `items` with unbound local variables renamed apart.
 
@@ -177,21 +257,23 @@ class Solver:
         """
         mapping: dict = {}
 
-        def rename(t):
-            t = self.subst.walk(t)
-            if (isinstance(t, Var) and t.id in self.local_ids
-                    and not self.store.has_domain(t)):
-                if t.id not in mapping:
-                    nv = self.counter.fresh(t.name)
-                    self.local_ids.add(nv.id)
-                    mapping[t.id] = nv
-                return mapping[t.id]
-            return t
+        def rename(v):
+            if v.id not in mapping:
+                nv = self.counter.fresh(v.name)
+                self.local_ids.add(nv.id)
+                mapping[v.id] = nv
+            return mapping[v.id]
 
-        return [_Match(tuple(map_term(a, rename) for a in i.a),
-                       tuple(map_term(b, rename) for b in i.b))
-                if isinstance(i, _Match) else map_literal(i, rename)
-                for i in items]
+        return self._map_locals(items, rename)
+
+    def _local_count(self, items) -> int:
+        """Number of ids `_fresh_locals(items)` would draw now."""
+        seen = set()
+        self._map_locals(items, lambda v: seen.add(v.id) or v)
+        return len(seen)
+
+    def _first_key(self, lit):
+        return _key(self.subst.walk(lit.args[0])) if lit.args else None
 
     def _resolve_lit(self, lit):
         return self.subst.resolve_literal(lit)
@@ -389,23 +471,40 @@ class Solver:
 
     def _consistency(self, hyp: UserLit, depth, k):
         """Continue with `k` once per way of refuting every IC resolving with
-        `hyp` and re-establishing every denial it threatens."""
+        `hyp` and re-establishing every denial it threatens.
+
+        A pairing whose first arguments clash (`_clash`) cannot match, so
+        its residual would fail at once: it is skipped before any renaming,
+        and the counter advances by the ids the renaming would have drawn,
+        so every later fresh id is the same as without the skip.  A skipped
+        pairing never reaches `_fail_conj`, so it neither sets
+        `depth_limit_hit` nor ticks the time budget."""
+        key = self._first_key(hyp)
         conjs = []
-        for ic in self.ordered_ics:
-            for pos, b in enumerate(ic.body):
-                if not (isinstance(b, UserLit) and b.indicator == hyp.indicator):
-                    continue
-                renamed, newvars = standardize_ic(ic, self.counter)
-                self.local_ids.update(v.id for v in newvars)
-                residual = [_Match(renamed.body[pos].args, hyp.args)]
-                residual.extend(l for j, l in enumerate(renamed.body) if j != pos)
-                conjs.append(residual)
+        index = self._ic_index.get(hyp.indicator)
+        if index is None:
+            index = self._ic_index[hyp.indicator] = _ICIndex(
+                self.ordered_ics, hyp.indicator)
+        drawn = 0
+        for ic, pos, before in index.lookup(key):
+            self.counter.skip(before - drawn)
+            renamed, newvars = standardize_ic(ic, self.counter)
+            drawn = before + len(newvars)
+            self.local_ids.update(v.id for v in newvars)
+            residual = [_Match(renamed.body[pos].args, hyp.args)]
+            residual.extend(l for j, l in enumerate(renamed.body) if j != pos)
+            conjs.append(residual)
+        self.counter.skip(index.total - drawn)
         # denials were justified by "no hypothesis matches this literal";
         # the new hypothesis must leave each of them finitely failed
         for d_lit, d_rest in list(self.denials):
             if d_lit.indicator != hyp.indicator:
                 continue
-            fresh = self._fresh_locals([d_lit] + list(d_rest))
+            items = [d_lit] + list(d_rest)
+            if _clash(self._first_key(d_lit), key):
+                self.counter.skip(self._local_count(items))
+                continue
+            fresh = self._fresh_locals(items)
             conjs.append([_Match(fresh[0].args, hyp.args)] + fresh[1:])
         return self._refute_all(conjs, 0, depth, k)
 
@@ -585,14 +684,25 @@ class Solver:
         denial so that later additions to the hypothesis set re-establish
         it (through `_consistency`) until backtracking removes it; without
         that, an abducible buried under a defined predicate could revive a
-        refuted constraint."""
-        conjs = []
+        refuted constraint.  A hypothesis whose first argument clashes with
+        `lit`'s is skipped as in `_consistency`."""
+        key = self._first_key(lit)
+        items = [lit] + list(rest)
+        conjs, skip = [], None
         for h in self.delta:
-            if h.lit.indicator == lit.indicator:
-                fresh = self._fresh_locals([lit] + list(rest))
-                conjs.append([_Match(fresh[0].args,
-                                     self._resolve_lit(h.lit).args)]
-                             + fresh[1:])
+            if h.lit.indicator != lit.indicator:
+                continue
+            if _clash(key, self._first_key(h.lit)):
+                # counted once: a renaming's fresh ids are not in `items`,
+                # so every skip here advances the counter alike
+                if skip is None:
+                    skip = self._local_count(items)
+                self.counter.skip(skip)
+                continue
+            fresh = self._fresh_locals(items)
+            conjs.append([_Match(fresh[0].args,
+                                 self._resolve_lit(h.lit).args)]
+                         + fresh[1:])
         self.denials.append((self._resolve_lit(lit), tuple(rest)))
         return self._refute_all(conjs, 0, depth + 1, k)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
@@ -68,8 +69,10 @@ class IntDomain:
     def max(self) -> int:
         return self.ranges[-1][1]
 
-    @property
+    @cached_property
     def size(self) -> int:
+        # cached: the first_fail pick reads it for every unlabelled variable
+        # at every node, and a domain is immutable
         return sum(hi - lo + 1 for lo, hi in self.ranges)
 
     def contains(self, v: int) -> bool:
@@ -189,7 +192,8 @@ class Constraint:
     """`a op b`; each subclass names one operator of the constraint language.
 
     Subclasses keep the dataclass equality, which compares classes too, so
-    `Eq(x, y) != Neq(x, y)`."""
+    `Eq(x, y) != Neq(x, y)`; the connectives compare the same way with a
+    stack (`_Junction`)."""
 
     a: Term
     b: Term
@@ -232,7 +236,33 @@ class TermNeq(Constraint):  # negates TermEq; internal only, no surface syntax
 
 
 class _Junction(Constraint):
-    """A connective over two constraints, printed in brackets."""
+    """A connective over two constraints, printed in brackets.
+
+    Equality and hashing walk the connectives with a stack, like the
+    walkers below; equality compares classes, as the dataclass one does."""
+
+    def __eq__(self, other):
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, _Junction):
+                pairs += [(x.b, y.b), (x.a, y.a)]
+            elif x != y:
+                return False
+        return True
+
+    def __hash__(self):
+        parts, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, _Junction):
+                parts.append(type(x))
+                stack += [x.b, x.a]
+            else:
+                parts.append(x)
+        return hash(tuple(parts))
 
     def __repr__(self):
         return spell_constraint(self, Constraint.__repr__)
@@ -463,6 +493,18 @@ class ConstraintStore:
         self.states.append(ACTIVE)
         return self._propagate()
 
+    def _add(self, c) -> bool:
+        """Put `c` on the constraint list, prepared as `post` prepares it,
+        for the running propagation sweep to prune; False when preparing
+        it empties a domain.  A term (dis)equality waits there as pending
+        until `_prune_pending_term` decomposes it."""
+        for x in _parts(c, And):
+            if isinstance(x, _SCALAR) and not self._prepare_scalar(x):
+                return False
+            self.constraints.append(x)
+            self.states.append(ACTIVE)
+        return True
+
     def _prepare_scalar(self, c) -> bool:
         """Give default integer domains to undeclared arithmetic variables."""
         sa, sb = split_offset(c.a), split_offset(c.b)
@@ -542,12 +584,14 @@ class ConstraintStore:
         if not self.consistent:
             return False
         # pruners report fail/entail/none; a sweep that wrote a domain, with
-        # any of these, rewakes every constraint
+        # any of these, rewakes every constraint.  A list iterator reaches
+        # the items appended while it runs, so a sweep also prunes the
+        # constraints a pruner adds during it (`_add`).
         writes = None
         while writes != self._writes:
             writes = self._writes
-            for idx in range(len(self.constraints)):
-                if self.states[idx] != ACTIVE:
+            for idx, state in enumerate(self.states):
+                if state != ACTIVE:
                     continue
                 res = self._prune(idx, self.constraints[idx])
                 if res == "fail":
@@ -758,6 +802,9 @@ class ConstraintStore:
         return "none" if self.post(c) else "fail"
 
     def _prune_or(self, idx: int, c: Or) -> str:
+        # a decided disjunction hands its surviving side to the running
+        # sweep (`_add`) rather than posting it, so a chain of disjunctions
+        # decided one after another does not nest calls
         ga, gb = self._try_ground(c.a), self._try_ground(c.b)
         if ga is True or gb is True:
             return "entail"
@@ -769,10 +816,10 @@ class ConstraintStore:
             # back to the ground checks above and stay suspended
             if ga is False:
                 self._set_state(idx, DELEGATED)
-                return "none" if self.post(c.b) else "fail"
+                return "none" if self._add(c.b) else "fail"
             if gb is False:
                 self._set_state(idx, DELEGATED)
-                return "none" if self.post(c.a) else "fail"
+                return "none" if self._add(c.a) else "fail"
             return "none"
         sat_a = self._test_sat(c.a) if ga is None else False
         sat_b = self._test_sat(c.b) if gb is None else False
@@ -780,10 +827,10 @@ class ConstraintStore:
             return "fail"
         if not sat_a:
             self._set_state(idx, DELEGATED)
-            return "none" if self.post(c.b) else "fail"
+            return "none" if self._add(c.b) else "fail"
         if not sat_b:
             self._set_state(idx, DELEGATED)
-            return "none" if self.post(c.a) else "fail"
+            return "none" if self._add(c.a) else "fail"
         return "none"
 
     def _try_ground(self, c: Constraint):

@@ -8,7 +8,6 @@ them is delegated to the constraint store so propagation sees it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -166,10 +165,17 @@ class VarCounter:
     """Source of globally fresh variable ids for one derivation."""
 
     def __init__(self, start: int = 0):
-        self._it = itertools.count(start)
+        self._next = start
 
     def fresh(self, name: str = "_G") -> Var:
-        return Var(name, next(self._it))
+        v = Var(name, self._next)
+        self._next += 1
+        return v
+
+    def skip(self, n: int) -> None:
+        """Advance past the `n` ids a renaming that was not made would
+        have drawn, so later fresh ids are the same as if it had been."""
+        self._next += n
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """The abductive proof procedure: goal reduction, hypothesis reuse,
 consistency checking and answer extraction."""
 
+import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
-from aclp import Config, compile_naf, parse_goal, parse_theory, solve
-from aclp.corpus import event_calculus_program
+from aclp import Config, compile_naf, engine, parse_goal, parse_theory, solve
+from aclp.corpus import (event_calculus_program, generate_blocks,
+                         generate_jobshop)
 from aclp.engine import (DepthLimitExceededError,
                          InitialHypothesisInconsistentError, Solver, ic_order)
 from aclp.parser import format_literal
 from aclp.store import IntDomain
-from aclp.terms import (Atom, Int, IntegrityConstraint, Struct,
+from aclp.terms import (Atom, Clause, Int, IntegrityConstraint, Struct,
                         UnknownPredicateError, UserLit, Var)
+from aclp.theory import AbductiveTheory
+
+from oracles import random_naf_program_text, random_theory_text
 
 
 def answers(text, goal, initial=(), config=None, limit=10):
@@ -372,3 +378,182 @@ def test_event_calculus_projection_answer():
     # the action time stays non-ground, constrained to 1..3
     values = sorted(s[t.id].value for s in ans.labellings())
     assert values == [1, 2, 3]
+
+
+# -- first-argument indexing ------------------------------------------------
+
+_K = Atom("k")
+
+
+def _prefix_lit(lit):
+    if isinstance(lit, UserLit) and lit.indicator not in {("true", 0),
+                                                          ("fail", 0)}:
+        return UserLit(lit.name, (_K,) + lit.args)
+    return lit
+
+
+def _prefix_theory(theory):
+    """The theory with the constant k before the arguments of every user
+    literal.  Every first argument is then k, so no pairing clashes and
+    the first-argument index skips nothing."""
+    def up(key):
+        return key[0], key[1] + 1
+
+    out = AbductiveTheory(
+        abducibles={up(key) for key in theory.abducibles},
+        naf_complements={up(a): up(p)
+                         for a, p in theory.naf_complements.items()})
+    for clause in theory.all_clauses():
+        out.add_clause(Clause(_prefix_lit(clause.head),
+                              tuple(map(_prefix_lit, clause.body))))
+    out.ics = [IntegrityConstraint(tuple(map(_prefix_lit, ic.body)))
+               for ic in theory.ics]
+    return out
+
+
+def _first_answers(theory, goal, strip=False):
+    """Δ with its variable ids, the rendered store and the first labelling
+    of the first three answers, then the type of any error raised; `strip`
+    drops each hypothesis's first argument."""
+    out = []
+    stream = solve(theory, goal)
+    try:
+        for ans in stream:
+            delta = [UserLit(l.name, l.args[1:]) if strip else l
+                     for l in ans.delta]
+            out.append((repr(delta), ans.store.render(),
+                        next(ans.labellings(), None)))
+            if len(out) == 3:
+                break
+    except Exception as exc:          # the error type is part of the record
+        out.append(type(exc).__name__)
+    finally:
+        stream.close()
+    return out
+
+
+def _index_is_exact(theory, goal):
+    return _first_answers(theory, goal) == _first_answers(
+        _prefix_theory(theory), list(map(_prefix_lit, goal)), strip=True)
+
+
+def _exactness_cases():
+    """(name, theory, goal) for the golden record's random theories, NAF
+    programs, job shops and small blocks worlds."""
+    for seed in range(200):
+        text, goal = random_theory_text(random.Random(seed))
+        yield f"theory-{seed}", parse_theory(text), parse_goal(goal)
+    for seed in range(50):
+        text, goal = random_naf_program_text(random.Random(seed))
+        if goal is not None:
+            yield (f"naf-{seed}",
+                   compile_naf(parse_theory(text), mode="autogenerate"),
+                   parse_goal(goal))
+    for n in (3, 4):
+        inst = generate_blocks(n, 1)
+        yield (f"blocks-{n}",
+               compile_naf(parse_theory(inst.program), mode="validate"),
+               parse_goal(inst.goal_text))
+    for n in (10, 25):
+        inst = generate_jobshop(n, 1)
+        yield (f"jobshop-{n}", parse_theory(inst.program),
+               parse_goal(inst.goal_text))
+
+
+def test_first_argument_index_is_exact():
+    # skipping a clashing pairing must change nothing, down to the ids of
+    # the fresh variables: the same programs with k prefixed skip nothing
+    mismatches = [name for name, theory, goal in _exactness_cases()
+                  if not _index_is_exact(theory, goal)]
+    assert mismatches == []
+
+
+def _count_renamings(monkeypatch):
+    """Counts of IC renamings ("ic") and of renamings of a conjunction's
+    locals ("locals": denials, closed-world matches, clause resolutions)."""
+    counts = Counter()
+    rename_ic, fresh_locals = engine.standardize_ic, Solver._fresh_locals
+
+    def counting_ic(ic, counter):
+        counts["ic"] += 1
+        return rename_ic(ic, counter)
+
+    def counting_locals(self, items):
+        counts["locals"] += 1
+        return fresh_locals(self, items)
+
+    monkeypatch.setattr(engine, "standardize_ic", counting_ic)
+    monkeypatch.setattr(Solver, "_fresh_locals", counting_locals)
+    return counts
+
+
+def test_ic_with_a_clashing_constant_is_not_renamed(monkeypatch):
+    # a(1, Y) clashes with a(one, X) (an atom is not an integer)
+    text = """
+        abducible_predicate(a/2).
+        ic :- a(one, X), X #> 0.
+        ic :- a(1, X), X #> 5.
+        g(Y) :- a(1, Y).
+    """
+    theory, goal = parse_theory(text), parse_goal("g(Y)")
+    counts = _count_renamings(monkeypatch)
+    (ans,) = answers(text, "g(Y)")
+    assert counts["ic"] == 1
+    assert ans.store.domain(ans.delta[0].args[1]).max == 5
+    assert _index_is_exact(theory, goal)
+
+
+def test_ic_with_a_clashing_compound_is_not_renamed(monkeypatch):
+    # f(Z) clashes with f(X, Y) (arity) and with g(X) (functor)
+    text = """
+        abducible_predicate(a/1).
+        ic :- a(f(X, Y)).
+        ic :- a(g(X)).
+        ic :- a(f(X)), X #< 3.
+        g(Z) :- a(f(Z)).
+    """
+    theory, goal = parse_theory(text), parse_goal("g(Z)")
+    counts = _count_renamings(monkeypatch)
+    (ans,) = answers(text, "g(Z)")
+    assert counts["ic"] == 1
+    (z,) = ans.delta[0].args[0].args
+    assert ans.store.domain(z).min == 3
+    assert _index_is_exact(theory, goal)
+
+
+def test_domain_variable_first_argument_matches_every_key(monkeypatch):
+    # X is a variable with a domain: it unifies with 2 and (failing in the
+    # store) with one, so no IC may be skipped
+    text = """
+        abducible_predicate(a/1).
+        ic :- a(2).
+        ic :- a(one).
+        g(X) :- X :: 1..3, a(X).
+    """
+    theory, goal = parse_theory(text), parse_goal("g(X)")
+    counts = _count_renamings(monkeypatch)
+    (ans,) = answers(text, "g(X)")
+    assert counts["ic"] == 2
+    assert ans.store.domain(ans.delta[0].args[0]) == IntDomain.of([1, 3])
+    assert _index_is_exact(theory, goal)
+
+
+def test_denial_first_argument_bound_after_it_was_recorded(monkeypatch):
+    # refuting c(Y) records the denial a(Y) while Y is unbound; same/2
+    # then binds Y to one, so a(two) clashes with the denial and a(one)
+    # is refuted by it
+    text = """
+        abducible_predicate(a/1).
+        abducible_predicate(b/1).
+        c(X) :- a(X).
+        ic :- b(X), c(X).
+        same(X, X).
+        g(Y, Z) :- b(Y), same(Y, one), a(Z).
+    """
+    counts = _count_renamings(monkeypatch)
+    (ans,) = answers(text, "g(Y, two)")
+    assert repr(ans.delta) == "(b(one), a(two))"
+    assert counts["locals"] == 1      # the resolution with c's clause only
+    assert answers(text, "g(Y, one)") == []
+    for goal in ("g(Y, two)", "g(Y, one)"):
+        assert _index_is_exact(parse_theory(text), parse_goal(goal))

@@ -190,6 +190,25 @@ def test_connectives_nested_deeper_than_the_recursion_limit():
     assert store.post(Eq(x, Int(n)))
     assert store._try_ground(conj) is True
     assert store._try_ground(negate(conj)) is False
+    # equality and hashing walk the connectives too, and compare classes
+    twin = negate(negate(conj))
+    assert twin is not conj and twin == conj and hash(twin) == hash(conj)
+    assert negate(conj) != conj and conj != And(conj, Ge(x, Int(0)))
+    assert Or(conj.a, conj.b) != conj
+    assert conj != Ge(x, Int(0)) and Ge(x, Int(0)) != conj
+
+
+def test_disjunctions_decided_one_after_another_deeper_than_the_recursion_limit():
+    # each decided disjunction leaves the next one as its surviving side:
+    # X #= 7 fails at every level down to X #= 1
+    n = 2 * sys.getrecursionlimit()
+    store, (x,) = make(list(range(6)))
+    disj = Eq(x, Int(1))
+    for _ in range(n - 1):
+        disj = Or(disj, Eq(x, Int(7)))
+    assert store.post(disj)
+    assert store.domains[x.id] == IntDomain.of([1])
+    assert store.active_constraints() == []
 
 
 # -- negation ---------------------------------------------------------------
