@@ -19,7 +19,7 @@ from .corpus import (first_ground, generate_blocks, generate_jobshop,
 from .optimize import (GroundAnswer, change_count, find_cost_var, min_changes,
                        minimize, reschedule)
 from .parser import (format_constraint, format_literal, format_term,
-                     parse_goal, parse_theory)
+                     parse_facts, parse_goal, parse_theory)
 from .terms import AclpError
 from .theory import compile_naf
 from .validators import (extract_moves, extract_starts, validate_blocks_plan,
@@ -28,15 +28,6 @@ from .validators import (extract_moves, extract_starts, validate_blocks_plan,
 _STRATEGIES = {"input": "input_order", "ff": "first_fail"}
 _IC_ORDERS = {"source": "source", "specific": "specific_first"}
 DEFAULT_BENCH_SEED = 1
-
-
-def _parse_literals(text: str):
-    """Ground literals from a file of period- or comma-separated facts."""
-    lits = []
-    for chunk in text.split("."):
-        if chunk.strip():
-            lits.extend(parse_goal(chunk))
-    return lits
 
 
 def _read(path) -> str:
@@ -120,7 +111,7 @@ def _cmd_solve(args) -> int:
             print(e, file=sys.stderr)
         return 2
     goal = parse_goal(args.goal)
-    initial = tuple(_parse_literals(initial_text))
+    initial = tuple(parse_facts(initial_text))
     config = Config(max_depth=args.max_depth,
                     ic_order=_IC_ORDERS[args.ic_order],
                     time_budget=args.time_budget)
@@ -128,7 +119,7 @@ def _cmd_solve(args) -> int:
 
     blocks, docs = [], []
     if args.min_changes:
-        reference = tuple(_parse_literals(reference_text))
+        reference = tuple(parse_facts(reference_text))
         ga = reschedule(theory, goal, reference, config=config,
                         strategy=strategy)
         blocks.append(_render_ground(ga))
@@ -227,6 +218,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _positive_number(text: str) -> float:
+    x = float(text)
+    if not x > 0:                     # also false for nan
+        raise argparse.ArgumentTypeError(f"{text} is not a positive number")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="aclp")
     sub = p.add_subparsers(dest="command", required=True)
@@ -249,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--naf-mode", choices=["validate", "autogenerate"],
                    default="validate")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--max-depth", type=int, default=10000)
-    s.add_argument("--time-budget", type=float, default=None,
+    s.add_argument("--max-depth", type=_positive_int, default=10000)
+    s.add_argument("--time-budget", type=_positive_number, default=None,
                    help="wall-clock seconds before the search gives up")
     s.set_defaults(func=_cmd_solve)
 
@@ -258,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("suite", choices=sorted(_SUITES))
     b.add_argument("--sizes", type=_positive_int, nargs="+", required=True)
     b.add_argument("--seed", type=int, default=DEFAULT_BENCH_SEED)
-    b.add_argument("--max-depth", type=int, default=10000)
-    b.add_argument("--time-budget", type=float, default=None)
+    b.add_argument("--max-depth", type=_positive_int, default=10000)
+    b.add_argument("--time-budget", type=_positive_number, default=None)
     b.set_defaults(func=_cmd_bench)
     return p
 

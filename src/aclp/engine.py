@@ -43,9 +43,9 @@ from .store import (And, ConstraintStore, Eq, TermEq, constraint_vars,
                     map_constraint, negate, AtomDomain, IntDomain)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
-                    UnknownPredicateError, rename_conjunction, map_literal,
-                    map_term, standardize_apart, standardize_ic,
-                    term_vars, unify_terms)
+                    UnknownPredicateError, literal_terms, map_literal,
+                    map_term, rename_conjunction, standardize_apart,
+                    standardize_ic, term_vars, unify_terms)
 from .theory import AbductiveTheory
 
 
@@ -143,16 +143,8 @@ def _clash(k1, k2) -> bool:
 def _var_count(lits) -> int:
     """Number of distinct variables in `lits`: the ids renaming them apart
     draws."""
-    ids = set()
-
-    def see(t):
-        if isinstance(t, Var):
-            ids.add(t.id)
-        return t
-
-    for lit in lits:
-        map_literal(lit, see)
-    return len(ids)
+    return len({v.id for lit in lits for t in literal_terms(lit)
+                for v in term_vars(t)})
 
 
 class _ICIndex:
@@ -232,23 +224,15 @@ class Solver:
     def _is_local(self, v: Var) -> bool:
         return v.id in self.local_ids
 
-    def _map_locals(self, items, f):
-        """Copies of `items` under the substitution, with each unbound,
-        domain-less local variable v replaced by f(v)."""
-        def g(t):
-            t = self.subst.walk(t)
-            if (isinstance(t, Var) and t.id in self.local_ids
-                    and not self.store.has_domain(t)):
-                return f(t)
-            return t
-
-        return [_Match(tuple(map_term(a, g) for a in i.a),
-                       tuple(map_term(b, g) for b in i.b))
-                if isinstance(i, _Match) else map_literal(i, g)
-                for i in items]
+    def _renamable(self, t) -> bool:
+        """Whether `t`, walked, is what `_fresh_locals` renames: an
+        unbound local variable without a domain."""
+        return (isinstance(t, Var) and t.id in self.local_ids
+                and not self.store.has_domain(t))
 
     def _fresh_locals(self, items):
-        """Copies of `items` with unbound local variables renamed apart.
+        """Copies of `items` under the substitution, with unbound local
+        variables renamed apart.
 
         Each alternative of a refutation (clause resolution, hypothesis
         match) quantifies the conjunction's local existentials on its own;
@@ -257,19 +241,34 @@ class Solver:
         """
         mapping: dict = {}
 
-        def rename(v):
-            if v.id not in mapping:
-                nv = self.counter.fresh(v.name)
+        def rename(t):
+            t = self.subst.walk(t)
+            if not self._renamable(t):
+                return t
+            if t.id not in mapping:
+                nv = self.counter.fresh(t.name)
                 self.local_ids.add(nv.id)
-                mapping[v.id] = nv
-            return mapping[v.id]
+                mapping[t.id] = nv
+            return mapping[t.id]
 
-        return self._map_locals(items, rename)
+        return [_Match(tuple(map_term(a, rename) for a in i.a),
+                       tuple(map_term(b, rename) for b in i.b))
+                if isinstance(i, _Match) else map_literal(i, rename)
+                for i in items]
 
     def _local_count(self, items) -> int:
-        """Number of ids `_fresh_locals(items)` would draw now."""
-        seen = set()
-        self._map_locals(items, lambda v: seen.add(v.id) or v)
+        """Number of ids `_fresh_locals(items)` would draw now, counted by a
+        walk under the substitution that copies nothing."""
+        stack, seen = [], set()
+        for i in items:
+            stack.extend(i.a + i.b if isinstance(i, _Match)
+                         else literal_terms(i))
+        while stack:
+            t = self.subst.walk(stack.pop())
+            if isinstance(t, Struct):
+                stack.extend(t.args)
+            elif self._renamable(t):
+                seen.add(t.id)
         return len(seen)
 
     def _first_key(self, lit):

@@ -358,6 +358,20 @@ def parse_goal(text: str):
     return body
 
 
+def parse_facts(text: str):
+    """Parse a file of facts, each ended by a period (the last may omit
+    it) and holding one or more comma-separated literals, into one literal
+    list; raises ParseFailure with positions in `text`."""
+    p = _Parser(text)
+    lits = []
+    while p.tok.kind != "eof":
+        p.reset_vars()
+        lits.extend(p.parse_body())
+        if p.tok.kind != "eof":
+            p.expect_op(".")
+    return lits
+
+
 # ---------------------------------------------------------------------------
 # Pretty-printing (round-trips through parse_theory)
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ and disequality.  Disjunction is lazy: it wakes only when one branch is
 refuted or the whole constraint is ground.
 
 Scalar constraint arguments may carry an integer offset (``X + 3``), which
-is what scheduling programs need to relate start times and durations.
+is what scheduling programs need to relate start times and durations.  The
+pruners read each operand as (variable, offset, domain), a constant as its
+singleton domain, so a variable and a constant are pruned alike.  Atoms
+are compared only for (dis)equality: ordering an atom is a type error.
 """
 
 from __future__ import annotations
@@ -165,6 +168,11 @@ class AtomDomain:
     @property
     def singleton(self) -> Optional[str]:
         return self.atoms[0] if len(self.atoms) == 1 else None
+
+    def shift(self, k: int) -> "AtomDomain":
+        """Identity: an atom takes no offset, and the pruners settle a
+        nonzero offset on an atom before they shift."""
+        return self
 
     def intersect(self, other: "AtomDomain") -> "AtomDomain":
         keep = set(other.atoms)
@@ -334,10 +342,16 @@ def _join_truth(c: Constraint, a, b):
     return None if None in (a, b) else not decisive
 
 
+def constraint_terms(c: Constraint) -> list:
+    """The operands of the comparisons in `c`, left to right."""
+    if not isinstance(c, _Junction):   # the common case, without a walk
+        return [c.a, c.b]
+    return [t for x in _parts(c) for t in (x.a, x.b)]
+
+
 def constraint_vars(c: Constraint) -> Iterator[Var]:
-    for x in _parts(c):
-        yield from term_vars(x.a)
-        yield from term_vars(x.b)
+    for t in constraint_terms(c):
+        yield from term_vars(t)
 
 
 def map_constraint(c: Constraint, f) -> Constraint:
@@ -383,8 +397,7 @@ def split_offset(t: Term):
 # ---------------------------------------------------------------------------
 
 ACTIVE = 0
-ENTAILED = 1
-DELEGATED = 2  # replaced by posted sub-constraints (And, decided Or, TermEq)
+ENTAILED = 1   # also: replaced by the sub-constraints it posted
 
 DEFAULT_LO = -10_000_000
 DEFAULT_HI = 10_000_000
@@ -507,19 +520,16 @@ class ConstraintStore:
 
     def _prepare_scalar(self, c) -> bool:
         """Give default integer domains to undeclared arithmetic variables."""
-        sa, sb = split_offset(c.a), split_offset(c.b)
-        if sa is None or sb is None:
+        a, b = self._operand(c.a), self._operand(c.b)
+        if a is None or b is None:
             raise StoreTypeError(f"non-scalar operand in {c!r}")
-        for (base, _), (obase, _) in ((sa, sb), (sb, sa)):
-            if isinstance(base, Var) and not self.has_domain(base):
-                atomish = (isinstance(obase, Atom)
-                           or (isinstance(obase, Var)
-                               and isinstance(self.domains.get(obase.id), AtomDomain)))
-                if isinstance(c, _ARITH) or not atomish:
-                    if not self.declare_default(base):
+        for (x, _, _), (y, _, dy) in ((a, b), (b, a)):
+            if x is not None and not self.has_domain(x):
+                if isinstance(c, _ARITH) or not isinstance(dy, AtomDomain):
+                    if not self.declare_default(x):
                         return False
-                elif isinstance(c, Eq) and isinstance(obase, Atom):
-                    if not self.declare(base, AtomDomain.of([obase.name])):
+                elif isinstance(c, Eq) and y is None:    # X #= atom
+                    if not self.declare(x, dy):
                         return False
                 # Neq against an atom with an undeclared variable stays
                 # pending until the variable gets a domain.
@@ -602,40 +612,27 @@ class ConstraintStore:
 
     # -- individual propagators ----------------------------------------------
 
-    def _value(self, base: Term):
-        """Fixed value of a scalar base term, or None."""
-        if isinstance(base, Int):
-            return base.value
-        if isinstance(base, Atom):
-            return base.name
-        dom = self.domains.get(base.id)
-        if dom is None:
+    def _operand(self, t: Term):
+        """A scalar operand as (variable or None, offset, domain): a constant
+        reads as its singleton domain, an undeclared variable with domain
+        None.  None when `t` is not a scalar operand."""
+        s = split_offset(t)
+        if s is None:
             return None
-        return dom.singleton
-
-    def _bounds(self, base: Term, off: int):
-        if isinstance(base, Int):
-            return base.value + off, base.value + off
+        base, k = s
         if isinstance(base, Var):
-            dom = self.domains.get(base.id)
-            if isinstance(dom, IntDomain) and not dom.empty:
-                return dom.min + off, dom.max + off
-        return None
-
-    def _clamp_var(self, base, off, lo, hi) -> bool:
-        """Restrict base+off to [lo, hi]; False when that leaves nothing."""
+            return base, k, self.domains.get(base.id)
         if isinstance(base, Int):
-            v = base.value + off
-            return (lo is None or v >= lo) and (hi is None or v <= hi)
-        dom = self.domains.get(base.id)
-        if not isinstance(dom, IntDomain):
-            return True
-        new = dom.clamp(None if lo is None else lo - off,
-                        None if hi is None else hi - off)
+            return None, k, IntDomain(((base.value, base.value),))
+        return None, k, AtomDomain((base.name,))
+
+    def _narrow(self, v, old: Domain, new: Domain) -> bool:
+        """Give v the domain `new`, a subset of its domain `old`; False when
+        `new` is empty.  A constant (v None) is never written."""
         if new.empty:
             return False
-        if new != dom:
-            self._set_domain(base, new)
+        if v is not None and new != old:
+            self._set_domain(v, new)
         return True
 
     def _prune(self, idx: int, c: Constraint) -> str:
@@ -643,154 +640,72 @@ class ConstraintStore:
             return self._prune_pending_term(idx, c)
         if isinstance(c, Or):
             return self._prune_or(idx, c)
-        sa, sb = split_offset(c.a), split_offset(c.b)
-        if sa is None or sb is None:
+        a, b = self._operand(c.a), self._operand(c.b)
+        if a is None or b is None:
             raise StoreTypeError(f"non-scalar operand in {c!r}")
-        (a, ka), (b, kb) = sa, sb
+        if a[0] is not None and b[0] is not None and a[0].id == b[0].id:
+            return "entail" if _TRUTH[type(c)](a[1], b[1]) else "fail"
         if isinstance(c, Eq):
-            return self._prune_eq(a, ka, b, kb)
+            return self._prune_eq(a, b)
         if isinstance(c, Neq):
-            return self._prune_neq(a, ka, b, kb)
-        if isinstance(c, Lt):
-            return self._prune_le(a, ka, b, kb - 1)
-        if isinstance(c, Le):
-            return self._prune_le(a, ka, b, kb)
-        if isinstance(c, Gt):
-            return self._prune_le(b, kb, a, ka - 1)
-        if isinstance(c, Ge):
-            return self._prune_le(b, kb, a, ka)
-        raise TypeError(c)
+            return self._prune_neq(a, b)
+        if isinstance(c, (Gt, Ge)):
+            a, b = b, a
+        if isinstance(c, (Lt, Gt)):
+            b = (b[0], b[1] - 1, b[2])       # a < b is a <= b - 1
+        return self._prune_le(a, b)
 
-    def _prune_eq(self, a, ka, b, kb) -> str:
-        if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
-            return "entail" if ka == kb else "fail"
-        da = self.domains.get(a.id) if isinstance(a, Var) else None
-        db = self.domains.get(b.id) if isinstance(b, Var) else None
-        if isinstance(a, Var) and da is None:
+    def _prune_eq(self, a, b) -> str:
+        (x, kx, dx), (y, ky, dy) = a, b
+        if dx is None or dy is None:
             return "none"  # untyped; wait
-        if isinstance(b, Var) and db is None:
-            return "none"
-        # atom cases (offsets must be zero for atoms to make sense)
-        if isinstance(a, Atom) or isinstance(b, Atom) or \
-           isinstance(da, AtomDomain) or isinstance(db, AtomDomain):
-            if ka or kb:
-                return "fail"
-            return self._prune_eq_atomish(a, da, b, db)
-        if isinstance(a, Var) and isinstance(b, Var):
-            common = da.shift(ka).intersect(db.shift(kb))
-            if common.empty:
-                return "fail"
-            na, nb = common.shift(-ka), common.shift(-kb)
-            if na != da:
-                self._set_domain(a, na)
-            if nb != db:
-                self._set_domain(b, nb)
-            return "entail" if common.singleton is not None else "none"
-        if isinstance(a, Int) and isinstance(b, Int):
-            return "entail" if a.value + ka == b.value + kb else "fail"
-        # one side fixed integer
-        if isinstance(a, Int):
-            a, ka, b, kb, da, db = b, kb, a, ka, db, da
-        v = b.value + kb - ka
-        if not da.contains(v):
+        if type(dx) is not type(dy) or (type(dx) is AtomDomain and (kx or ky)):
+            return "fail"  # an atom equals no integer and takes no offset
+        common = dx.shift(kx).intersect(dy.shift(ky))
+        ny = dy.shift(ky).intersect(common).shift(-ky)  # in y's atom order
+        if not (self._narrow(x, dx, common.shift(-kx))
+                and self._narrow(y, dy, ny)):
             return "fail"
-        if da.singleton == v:
-            return "entail"
-        self._set_domain(a, IntDomain.range(v, v))
-        return "entail"
-
-    def _prune_eq_atomish(self, a, da, b, db) -> str:
-        if isinstance(a, Atom) and isinstance(b, Atom):
-            return "entail" if a.name == b.name else "fail"
-        if isinstance(a, Atom):
-            a, da, b, db = b, db, a, da
-        if isinstance(b, Atom):
-            if not isinstance(da, AtomDomain):
-                return "fail"
-            if not da.contains(b.name):
-                return "fail"
-            if da.singleton == b.name:
-                return "entail"
-            self._set_domain(a, AtomDomain.of([b.name]))
-            return "entail"
-        if not isinstance(da, AtomDomain) or not isinstance(db, AtomDomain):
-            return "fail"  # atom domain against integer domain
-        common = da.intersect(db)
-        if common.empty:
-            return "fail"
-        if common != da:
-            self._set_domain(a, common)
-        nb = db.intersect(common)       # b keeps its own atom order
-        if nb != db:
-            self._set_domain(b, nb)
         return "entail" if common.singleton is not None else "none"
 
-    def _prune_neq(self, a, ka, b, kb) -> str:
-        if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
-            return "fail" if ka == kb else "entail"
-        va = self._value(a) if not isinstance(a, Var) or self.has_domain(a) else None
-        vb = self._value(b) if not isinstance(b, Var) or self.has_domain(b) else None
-        if isinstance(va, str) or isinstance(vb, str):
-            if ka or kb:
+    def _prune_neq(self, a, b) -> str:
+        """Decided once a side is fixed; before that, only disjoint integer
+        bounds entail it (disjoint domains do not)."""
+        if b[2] is None or b[2].singleton is None:
+            a, b = b, a                       # b is the fixed side, if any
+        (x, kx, dx), (_, ky, dy) = a, b
+        fixed = None if dy is None else dy.singleton
+        if fixed is None:
+            if type(dx) is type(dy) is IntDomain and (
+                    dx.max + kx < dy.min + ky or dy.max + ky < dx.min + kx):
                 return "entail"
-        else:
-            va = None if va is None else va + ka
-            vb = None if vb is None else vb + kb
-        if va is not None and vb is not None:
-            if type(va) is not type(vb):
-                return "entail"
-            return "fail" if va == vb else "entail"
-        # disjoint domains entail the disequality
-        ba = self._bounds(a, ka) if not isinstance(a, Atom) else None
-        bb = self._bounds(b, kb) if not isinstance(b, Atom) else None
-        if ba and bb and (ba[1] < bb[0] or bb[1] < ba[0]):
-            return "entail"
-        if va is None and vb is None:
             return "none"
-        if va is None:
-            a, ka, fixed = a, ka, vb
-        else:
-            a, ka, fixed = b, kb, va
-        dom = self.domains.get(a.id)
-        if dom is None:
+        if AtomDomain in (type(dx), type(dy)) and (kx or ky):
+            return "entail"  # an atom with an offset equals nothing
+        if dx is None:
             return "none"
-        if isinstance(dom, AtomDomain):
-            if not isinstance(fixed, str):
-                return "entail"
-            if dom.contains(fixed):
-                new = dom.remove(fixed)
-                if new.empty:
-                    return "fail"
-                self._set_domain(a, new)
+        if type(dx) is not type(dy):
             return "entail"
-        if not isinstance(fixed, int):
-            return "entail"
-        v = fixed - ka
-        if dom.contains(v):
-            new = dom.remove(v)
-            if new.empty:
-                return "fail"
-            self._set_domain(a, new)
-        return "entail"
+        if isinstance(dx, IntDomain):
+            fixed += ky - kx
+        return "entail" if self._narrow(x, dx, dx.remove(fixed)) else "fail"
 
-    def _prune_le(self, a, ka, b, kb) -> str:
-        """a + ka <= b + kb with bounds consistency."""
-        if isinstance(a, Atom) or isinstance(b, Atom):
+    def _prune_le(self, a, b) -> str:
+        """a <= b, each with its offset, with bounds consistency."""
+        (x, kx, dx), (y, ky, dy) = a, b
+        if AtomDomain in (type(dx), type(dy)):
             raise StoreTypeError("order constraint over atoms")
-        if isinstance(a, Var) and isinstance(b, Var) and a.id == b.id:
-            return "entail" if ka <= kb else "fail"
-        ba, bb = self._bounds(a, ka), self._bounds(b, kb)
-        if ba is None or bb is None:
+        if dx is None or dy is None:
             return "none"
-        if ba[1] <= bb[0]:
+        if dx.max + kx <= dy.min + ky:
             return "entail"
-        if not (self._clamp_var(a, ka, None, bb[1])
-                and self._clamp_var(b, kb, ba[0], None)):
+        nx = dx.clamp(None, dy.max + ky - kx)
+        if not self._narrow(x, dx, nx):
             return "fail"
-        ba, bb = self._bounds(a, ka), self._bounds(b, kb)
-        if ba and bb and ba[1] <= bb[0]:
-            return "entail"
-        return "none"
+        ny = dy.clamp(dx.min + kx - ky, None)
+        if not self._narrow(y, dy, ny):
+            return "fail"
+        return "entail" if nx.max + kx <= ny.min + ky else "none"
 
     def _prune_pending_term(self, idx: int, c) -> str:
         # woken when a previously untyped variable has acquired a domain
@@ -798,7 +713,7 @@ class ConstraintStore:
                       for t in (c.a, c.b))
         if untyped:
             return "none"
-        self._set_state(idx, DELEGATED)
+        self._set_state(idx, ENTAILED)
         return "none" if self.post(c) else "fail"
 
     def _prune_or(self, idx: int, c: Or) -> str:
@@ -808,30 +723,20 @@ class ConstraintStore:
         ga, gb = self._try_ground(c.a), self._try_ground(c.b)
         if ga is True or gb is True:
             return "entail"
-        if ga is False and gb is False:
-            return "fail"
         if self._probing:
             # a satisfiability probe is already running; probing again from
-            # inside it would re-enter this disjunction without end, so fall
-            # back to the ground checks above and stay suspended
-            if ga is False:
-                self._set_state(idx, DELEGATED)
-                return "none" if self._add(c.b) else "fail"
-            if gb is False:
-                self._set_state(idx, DELEGATED)
-                return "none" if self._add(c.a) else "fail"
-            return "none"
-        sat_a = self._test_sat(c.a) if ga is None else False
-        sat_b = self._test_sat(c.b) if gb is None else False
-        if not sat_a and not sat_b:
+            # inside it would re-enter this disjunction without end, so only
+            # the ground checks above decide a side
+            sat_a, sat_b = ga is None, gb is None
+        else:
+            sat_a = ga is None and self._test_sat(c.a)
+            sat_b = gb is None and self._test_sat(c.b)
+        if not (sat_a or sat_b):
             return "fail"
-        if not sat_a:
-            self._set_state(idx, DELEGATED)
-            return "none" if self._add(c.b) else "fail"
-        if not sat_b:
-            self._set_state(idx, DELEGATED)
-            return "none" if self._add(c.a) else "fail"
-        return "none"
+        if sat_a and sat_b:
+            return "none"
+        self._set_state(idx, ENTAILED)
+        return "none" if self._add(c.a if sat_a else c.b) else "fail"
 
     def _try_ground(self, c: Constraint):
         """Truth value of a constraint whose operands are all fixed, else None."""
@@ -842,20 +747,18 @@ class ConstraintStore:
             if not (is_ground(c.a) and is_ground(c.b)):
                 return None
             return _TRUTH[type(c)](c.a, c.b)
-        sa, sb = split_offset(c.a), split_offset(c.b)
-        if sa is None or sb is None:
+        a, b = self._operand(c.a), self._operand(c.b)
+        if a is None or b is None or a[2] is None or b[2] is None:
             return None
-        va = self._value(sa[0])
-        vb = self._value(sb[0])
-        if va is None or vb is None:
+        (_, kx, dx), (_, ky, dy) = a, b
+        vx, vy = dx.singleton, dy.singleton
+        if vx is None or vy is None:
             return None
-        if isinstance(va, int):
-            va += sa[1]
-        if isinstance(vb, int):
-            vb += sb[1]
-        if type(va) is not type(vb):
+        if type(dx) is not type(dy):
             return isinstance(c, Neq)   # an atom never equals or orders an integer
-        return _TRUTH[type(c)](va, vb)
+        if isinstance(dx, IntDomain):
+            vx, vy = vx + kx, vy + ky
+        return _TRUTH[type(c)](vx, vy)
 
     def _test_sat(self, c: Constraint) -> bool:
         mark = self.snapshot()

@@ -271,6 +271,20 @@ def map_literal(lit: Literal, f) -> Literal:
     raise TypeError(lit)
 
 
+def literal_terms(lit: Literal) -> Sequence[Term]:
+    """The terms that hold the variables of `lit`, left to right: its
+    arguments, or the operands of its comparisons."""
+    while isinstance(lit, NafLit):
+        lit = lit.inner
+    if isinstance(lit, UserLit):
+        return lit.args
+    if isinstance(lit, ConstraintLit):
+        return _store.constraint_terms(lit.constraint)
+    if isinstance(lit, DomainDecl):
+        return (lit.var, lit.lo, lit.hi)
+    raise TypeError(lit)
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

@@ -64,14 +64,32 @@ def test_missing_hypothesis_file_exits_2(simple, tmp_path, capsys, option):
     ["--all", "-2"],
     ["bench", "jobshop", "--sizes", "0"],
     ["bench", "reschedule", "--sizes", "5", "0"],
+    ["--max-depth", "0"],
+    ["--max-depth", "-1"],
+    ["bench", "jobshop", "--sizes", "3", "--max-depth", "0"],
 ])
 def test_counts_below_one_exit_2(simple, capsys, argv):
-    if argv[0] == "--all":
+    if argv[0] != "bench":
         argv = ["solve", simple, "--goal", "g(X)"] + argv
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--time-budget", "0"],
+    ["--time-budget", "-1"],
+    ["--time-budget", "nan"],
+    ["bench", "jobshop", "--sizes", "3", "--time-budget", "0"],
+])
+def test_time_budgets_not_above_zero_exit_2(simple, capsys, argv):
+    if argv[0] != "bench":
+        argv = ["solve", simple, "--goal", "g(X)"] + argv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "positive number" in capsys.readouterr().err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -133,6 +151,24 @@ def test_initial_hypotheses_file(simple, tmp_path, capsys):
     assert "Δ = {a(4)}" in out.split("\n\n")[0]
 
 
+@pytest.mark.parametrize("option", ["--initial", "--min-changes"])
+def test_hypothesis_files_take_comments(tmp_path, capsys, option):
+    prog = tmp_path / "js.aclp"
+    prog.write_text(JOBSHOP2)
+    facts = tmp_path / "old.facts"
+    facts.write_text("% schedule v1.2. Kept as is.\n"
+                     "start(t1, 0). % old schedule\n"
+                     "start(t2, 3).  % moved. twice\n")
+    code, out, _ = run(capsys, "solve", str(prog), "--goal", "schedule",
+                       option, str(facts), "--label")
+    assert code == 0
+    assert out.startswith("Δ = {start(t1,0), start(t2,3)}\n")
+    facts.write_text("start(t1, 0). % old schedule\nstart(t2, ).\n")
+    code, _, err = run(capsys, "solve", str(prog), "--goal", "schedule",
+                       option, str(facts))
+    assert code == 2 and err.startswith("2:11: syntax error")
+
+
 def test_inconsistent_initial_hypotheses_exit_2(simple, tmp_path, capsys):
     init = tmp_path / "init.facts"
     init.write_text("a(1).\n")  # violates ic :- a(Y), Y #< 3
@@ -150,6 +186,15 @@ def test_min_changes_mode(tmp_path, capsys):
                        "--min-changes", str(ref))
     assert code == 0
     assert "changes = 0" in out
+
+
+def test_ordering_an_atom_variable_exits_2(tmp_path, capsys):
+    p = tmp_path / "atoms.aclp"
+    p.write_text("abducible_predicate(p/1).\n"
+                 "g :- X :: [a, b], p(X), X #< 3.\n")
+    code, out, err = run(capsys, "solve", str(p), "--goal", "g")
+    assert code == 2 and out == ""
+    assert "order constraint over atoms" in err
 
 
 def test_naf_mode_validate_rejects_undeclared(tmp_path, capsys):

@@ -170,6 +170,42 @@ def test_undeclared_arith_var_gets_default_domain():
     assert list(store.domains[x.id].values()) == [3, 4]
 
 
+X0, X1 = Var("X0", 0), Var("X1", 1)
+
+
+@pytest.mark.parametrize("domains, c, result, rendered", [
+    # an atom with an offset equals nothing, even on an undeclared variable
+    ((), Neq(Struct("+", (X0, Int(1))), Atom("a")), True, ""),
+    # disjoint bounds entail a disequality, disjoint domains do not
+    (([1, 5], [2, 3]), Neq(X0, X1), True,
+     "X0 ∈ {1,5}\nX1 ∈ {2..3}\n_X0#0 ## _X1#1"),
+    ((["a", "b"], ["a", "b"]), Eq(Struct("+", (X0, Int(1))), X1), False,
+     "X0 ∈ {a,b}\nX1 ∈ {a,b}\n+(_X0#0,1) #= _X1#1"),
+    (([1, 2],), Eq(X0, Atom("a")), False, "X0 ∈ {1..2}\n_X0#0 #= a"),
+    (([1, 2],), Neq(X0, Atom("a")), True, "X0 ∈ {1..2}"),
+    (([1, 2],), Lt(Atom("a"), X0), StoreTypeError,
+     "X0 ∈ {1..2}\na #< _X0#0"),
+    # each side keeps its own atom order
+    ((["a", "b", "c"], ["c", "b"]), Eq(X0, X1), True,
+     "X0 ∈ {b,c}\nX1 ∈ {c,b}\n_X0#0 #= _X1#1"),
+])
+def test_scalar_pruner_corner_cases(domains, c, result, rendered):
+    store, _ = make(*domains)
+    if result is StoreTypeError:
+        with pytest.raises(StoreTypeError):
+            store.post(c)
+    else:
+        assert store.post(c) is result
+    assert store.render() == rendered
+
+
+@pytest.mark.parametrize("atoms", [["a", "b"], ["a"]])
+def test_ordering_an_atom_variable_is_a_type_error(atoms):
+    store, (x,) = make(atoms)
+    with pytest.raises(StoreTypeError, match="order constraint over atoms"):
+        store.post(Lt(x, Int(3)))
+
+
 def test_connectives_nested_deeper_than_the_recursion_limit():
     n = 2 * sys.getrecursionlimit()
     store, (x,) = make(list(range(n + 5)))
