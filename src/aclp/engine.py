@@ -39,8 +39,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .store import (And, ConstraintStore, Eq, TermEq, constraint_vars,
-                    map_constraint, negate, AtomDomain, IntDomain)
+from .store import (DEFAULT_HI, DEFAULT_LO, And, AtomDomain, ConstraintStore,
+                    Eq, IntDomain, TermEq, constraint_vars, map_constraint,
+                    negate)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
                     UnknownPredicateError, literal_terms, map_literal,
@@ -65,9 +66,11 @@ class DepthLimitExceededError(AclpError):
 class Config:
     max_depth: int = 10000
     ic_order: str = "source"          # source | specific_first
-    default_lo: int = -10_000_000
-    default_hi: int = 10_000_000
     time_budget: float = None         # wall-clock seconds per solve, or None
+    # the store's implementation-wide default range, read by perfbench's
+    # checks: class constants, not fields, so no solve sets its own
+    default_lo = DEFAULT_LO
+    default_hi = DEFAULT_HI
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ class Solver:
         self.config = config or Config()
         self.counter = VarCounter(start=1_000_000)
         self.subst = Substitution()
-        self.store = ConstraintStore(self.config.default_lo, self.config.default_hi)
+        self.store = ConstraintStore()
         self.delta: list[Hypothesis] = []
         self.denials: list = []        # (abducible lit, residual conjunction)
         self.local_ids: set[int] = set()
@@ -339,6 +342,10 @@ class Solver:
         st = self.store.clone()
         st.constraints = [map_constraint(c, self.subst.walk)
                           for c in st.constraints]
+        # bindings made since a constraint was posted may decide it, as
+        # when unification grounds the variable of a pending `X ## a`
+        if not st._propagate():
+            return None
         # project onto variables the answer can mention: those in the
         # hypotheses and those constrained by a residual constraint
         keep = set()
@@ -352,8 +359,7 @@ class Solver:
         answer = Answer(delta, prov, st)
         # emit only stores with at least one ground valuation
         probe = st.clone()
-        if next(probe.label(answer.store_vars(), "first_fail"), None) is None \
-                and st.domains:
+        if next(probe.label(answer.store_vars(), "first_fail"), None) is None:
             return None
         return answer
 
@@ -617,30 +623,18 @@ class Solver:
                 continue
             if not isinstance(c, Eq) or any(occurrences[v.id] > 1 for v in locs):
                 return None
-            sides = [c.a, c.b]
-            loc = next(s for s in sides if isinstance(s, Var)
-                       and self._is_local(s))
-            other = sides[1] if loc is sides[0] else sides[0]
-            dom = self.store.domain(loc)
-            if dom is None:
+            # a cap relates domain variables and constants; read each side
+            # through the store, a constant as its singleton domain
+            (x, _, dx), (y, _, dy) = map(self.store._operand, (c.a, c.b))
+            if x is None or not self._is_local(x):
+                (x, dx), (y, dy) = (y, dy), (x, dx)
+            if dx is None or type(dx) is not type(dy):
                 return None
-            if isinstance(other, Atom):
-                if not (isinstance(dom, AtomDomain) and dom.contains(other.name)):
+            if y is not None and self._is_local(y):
+                if dx.intersect(dy).empty:
                     return None
-            elif isinstance(other, Int):
-                if not (isinstance(dom, IntDomain) and dom.contains(other.value)):
-                    return None
-            elif isinstance(other, Var):
-                odom = self.store.domain(other)
-                if odom is None or type(odom) is not type(dom):
-                    return None
-                if self._is_local(other):
-                    if dom.intersect(odom).empty:
-                        return None
-                elif dom.intersect(odom).size != odom.size:
-                    return None  # dom does not cover every global value
-            else:
-                return None
+            elif dx.intersect(dy).size != dy.size:
+                return None  # x's domain does not cover every value of y
         return gcaps or None
 
     def _fail_constraint(self, c, fail_rest, k):

@@ -5,14 +5,19 @@ Constraints are immutable values; the store holds the mutable state:
 variable domains, the set of active constraints and a trail so that
 snapshot/restore is exact.  Propagation runs to fixpoint after every post:
 bounds consistency for the order constraints, arc consistency for equality
-and disequality.  Disjunction is lazy: it wakes only when one branch is
-refuted or the whole constraint is ground.
+and disequality.  A disjunction is woken at every sweep: a side whose
+comparisons are all fixed is decided by their truth, and each other side
+is probed by posting it under a snapshot, except inside such a probe; the
+disjunction is entailed by a true side and replaced by its one satisfiable
+side.
 
 Scalar constraint arguments may carry an integer offset (``X + 3``), which
 is what scheduling programs need to relate start times and durations.  The
 pruners read each operand as (variable, offset, domain), a constant as its
-singleton domain, so a variable and a constant are pruned alike.  Atoms
-are compared only for (dis)equality: ordering an atom is a type error.
+singleton domain, so a variable and a constant are pruned alike, and the
+truth of a comparison whose operands are fixed is its pruner's verdict.
+Atoms are compared only for (dis)equality and take no offset: ordering an
+atom is a type error, inside a disjunction too.
 """
 
 from __future__ import annotations
@@ -288,10 +293,12 @@ _SCALAR = (Eq, Neq, Lt, Le, Gt, Ge)
 _ARITH = (Lt, Le, Gt, Ge)
 _NEGATION = {Eq: Neq, Neq: Eq, Lt: Ge, Ge: Lt, Le: Gt, Gt: Le,
              TermEq: TermNeq, TermNeq: TermEq, And: Or, Or: And}
-# truth of a ground constraint from its two operand values
+# truth of a comparison from its two operand values: the offsets of one
+# variable on both sides, or two ground terms
 _TRUTH = {Eq: operator.eq, Neq: operator.ne, Lt: operator.lt, Le: operator.le,
           Gt: operator.gt, Ge: operator.ge, TermEq: operator.eq,
           TermNeq: operator.ne}
+_VERDICT = {"entail": True, "fail": False}   # a pruner's verdict as a truth
 
 
 # The walkers below keep an explicit stack rather than recursing, so
@@ -392,6 +399,30 @@ def split_offset(t: Term):
     return None
 
 
+def _arg_pairs(a: Term, b: Term) -> Optional[list]:
+    """The scalar pairs, one level deep and left to right, that are equal
+    exactly when terms `a` and `b` are, leaving out pairs of equal ground
+    terms; None when `a` and `b` can never be equal."""
+    if isinstance(a, Struct) and isinstance(b, Struct):
+        if a.functor != b.functor or a.arity != b.arity:
+            return None
+        args = zip(a.args, b.args)
+    elif isinstance(a, Struct) or isinstance(b, Struct):
+        return None  # a compound never equals a scalar
+    else:
+        args = ((a, b),)
+    pairs = []
+    for x, y in args:
+        if is_ground(x) and is_ground(y):
+            if x != y:
+                return None
+        elif isinstance(x, Struct) or isinstance(y, Struct):
+            raise StoreTypeError(f"##= argument nested too deep: {x!r} / {y!r}")
+        else:
+            pairs.append((x, y))
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
@@ -399,14 +430,12 @@ def split_offset(t: Term):
 ACTIVE = 0
 ENTAILED = 1   # also: replaced by the sub-constraints it posted
 
-DEFAULT_LO = -10_000_000
-DEFAULT_HI = 10_000_000
+DEFAULT_LO = -10_000_000      # the domain of an undeclared arithmetic
+DEFAULT_HI = 10_000_000       # variable, implementation-wide
 
 
 class ConstraintStore:
-    def __init__(self, default_lo: int = DEFAULT_LO, default_hi: int = DEFAULT_HI):
-        self.default_lo = default_lo
-        self.default_hi = default_hi
+    def __init__(self):
         self.domains: dict[int, Domain] = {}
         self.var_names: dict[int, str] = {}
         self.constraints: list[Constraint] = []
@@ -485,7 +514,7 @@ class ConstraintStore:
     def declare_default(self, v: Var) -> bool:
         if self.has_domain(v):
             return True
-        return self.declare(v, IntDomain.range(self.default_lo, self.default_hi))
+        return self.declare(v, IntDomain.range(DEFAULT_LO, DEFAULT_HI))
 
     # -- posting and propagation ---------------------------------------------
 
@@ -495,10 +524,8 @@ class ConstraintStore:
             return False
         if isinstance(c, And):
             return all(self.post(x) for x in _parts(c, And))
-        if isinstance(c, TermEq):
-            return self._post_term_eq(c)
-        if isinstance(c, TermNeq):
-            return self._post_term_neq(c)
+        if isinstance(c, (TermEq, TermNeq)):
+            return self._post_term(c)
         if isinstance(c, _SCALAR):
             if not self._prepare_scalar(c):
                 return False
@@ -535,60 +562,32 @@ class ConstraintStore:
                 # pending until the variable gets a domain.
         return True
 
-    def _post_term_eq(self, c: TermEq) -> bool:
+    def _post_term(self, c) -> bool:
+        """`##=` as `#=` on each argument pair (`_arg_pairs`), its negation
+        as the `#\\/` of `##` over them.  A side that is a variable without
+        a domain leaves `c` pending, with that variable on the left of a
+        `##=`, until `_prune_pending_term` sees it typed."""
         a, b = c.a, c.b
-        if isinstance(a, Var) and not self.has_domain(a):
-            # plain variable: the engine binds these before posting; a leftover
-            # one stays pending and is re-examined on later posts
+        if self._untyped(a) or self._untyped(b):
+            if isinstance(c, TermEq) and not self._untyped(a):
+                c = TermEq(b, a)
             self.constraints.append(c)
             self.states.append(ACTIVE)
             return self._propagate()
-        if isinstance(b, Var) and not self.has_domain(b):
-            return self._post_term_eq(TermEq(b, a))
-        if isinstance(a, Struct) and isinstance(b, Struct):
-            if a.functor != b.functor or a.arity != b.arity:
-                return self._fail()
-            for x, y in zip(a.args, b.args):
-                if isinstance(x, Struct) or isinstance(y, Struct):
-                    if is_ground(x) and is_ground(y):
-                        if x != y:
-                            return self._fail()
-                        continue
-                    raise StoreTypeError(
-                        f"##= argument nested too deep: {x!r} / {y!r}")
-                if not self.post(Eq(x, y)):
-                    return False
-            return True
-        if isinstance(a, Struct) or isinstance(b, Struct):
-            return self._fail()  # compound against scalar never equal
-        return self.post(Eq(a, b))
+        pairs = _arg_pairs(a, b)
+        if pairs is None:  # never equal
+            return self._fail() if isinstance(c, TermEq) else True
+        if isinstance(c, TermEq):
+            return all(self.post(Eq(*p)) for p in pairs)
+        if not pairs:
+            return self._fail()  # terms forced identical
+        d = Neq(*pairs[0])
+        for p in pairs[1:]:
+            d = Or(d, Neq(*p))
+        return self.post(d)
 
-    def _post_term_neq(self, c: TermNeq) -> bool:
-        a, b = c.a, c.b
-        if (isinstance(a, Var) and not self.has_domain(a)) or \
-           (isinstance(b, Var) and not self.has_domain(b)):
-            self.constraints.append(c)
-            self.states.append(ACTIVE)
-            return self._propagate()
-        if isinstance(a, Struct) and isinstance(b, Struct):
-            if a.functor != b.functor or a.arity != b.arity:
-                return True  # entailed
-            disjuncts = []
-            for x, y in zip(a.args, b.args):
-                if is_ground(x) and is_ground(y):
-                    if x != y:
-                        return True  # some argument pair already differs
-                    continue
-                disjuncts.append(Neq(x, y))
-            if not disjuncts:
-                return self._fail()  # terms forced identical
-            d = disjuncts[0]
-            for extra in disjuncts[1:]:
-                d = Or(d, extra)
-            return self.post(d)
-        if isinstance(a, Struct) or isinstance(b, Struct):
-            return True  # compound vs scalar: always different
-        return self.post(Neq(a, b))
+    def _untyped(self, t: Term) -> bool:
+        return isinstance(t, Var) and not self.has_domain(t)
 
     def _propagate(self) -> bool:
         if not self.consistent:
@@ -643,6 +642,12 @@ class ConstraintStore:
         a, b = self._operand(c.a), self._operand(c.b)
         if a is None or b is None:
             raise StoreTypeError(f"non-scalar operand in {c!r}")
+        return self._prune_scalar(c, a, b)
+
+    def _prune_scalar(self, c: Constraint, a, b) -> str:
+        """Prune the comparison `c` over its operands read as `_operand`
+        triples.  With both operands fixed it writes nothing, and its
+        verdict is the truth of `c` (`_ground_truth`)."""
         if a[0] is not None and b[0] is not None and a[0].id == b[0].id:
             return "entail" if _TRUTH[type(c)](a[1], b[1]) else "fail"
         if isinstance(c, Eq):
@@ -709,9 +714,7 @@ class ConstraintStore:
 
     def _prune_pending_term(self, idx: int, c) -> str:
         # woken when a previously untyped variable has acquired a domain
-        untyped = any(isinstance(t, Var) and not self.has_domain(t)
-                      for t in (c.a, c.b))
-        if untyped:
+        if self._untyped(c.a) or self._untyped(c.b):
             return "none"
         self._set_state(idx, ENTAILED)
         return "none" if self.post(c) else "fail"
@@ -748,17 +751,10 @@ class ConstraintStore:
                 return None
             return _TRUTH[type(c)](c.a, c.b)
         a, b = self._operand(c.a), self._operand(c.b)
-        if a is None or b is None or a[2] is None or b[2] is None:
-            return None
-        (_, kx, dx), (_, ky, dy) = a, b
-        vx, vy = dx.singleton, dy.singleton
-        if vx is None or vy is None:
-            return None
-        if type(dx) is not type(dy):
-            return isinstance(c, Neq)   # an atom never equals or orders an integer
-        if isinstance(dx, IntDomain):
-            vx, vy = vx + kx, vy + ky
-        return _TRUTH[type(c)](vx, vy)
+        if a is None or b is None or a[2] is None or b[2] is None \
+                or a[2].singleton is None or b[2].singleton is None:
+            return None  # not a scalar comparison, or an operand not fixed
+        return _VERDICT.get(self._prune_scalar(c, a, b))
 
     def _test_sat(self, c: Constraint) -> bool:
         mark = self.snapshot()
@@ -852,7 +848,7 @@ class ConstraintStore:
     # -- misc ----------------------------------------------------------------
 
     def clone(self) -> "ConstraintStore":
-        out = ConstraintStore(self.default_lo, self.default_hi)
+        out = ConstraintStore()
         out.domains = dict(self.domains)
         out.var_names = dict(self.var_names)
         out.constraints = list(self.constraints)

@@ -197,6 +197,29 @@ def test_ordering_an_atom_variable_exits_2(tmp_path, capsys):
     assert "order constraint over atoms" in err
 
 
+def test_an_atom_takes_no_offset_inside_a_disjunction(tmp_path, capsys):
+    p = tmp_path / "offset.aclp"
+    p.write_text("abducible_predicate(p/1).\n"
+                 "g :- X :: [a], Z :: 0..5, p(Z), X + 1 #= a #\\/ Z #= 9.\n"
+                 "h :- X :: [a], Z :: 0..5, p(Z), X + 1 ## a #\\/ Z #= 9.\n")
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "g")
+    assert code == 1 and out == ""
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "h")
+    assert code == 0 and out == "Δ = {p(Z)}\nZ ∈ {0..5}\n"
+
+
+@pytest.mark.parametrize("label", [[], ["--label"]])
+def test_a_residual_constraint_grounded_by_unification_is_checked(
+        tmp_path, capsys, label):
+    # X has no domain, so `X ## a` waits in the store until q(X) binds X
+    p = tmp_path / "residual.aclp"
+    p.write_text("abducible_predicate(p/1).\n"
+                 "g :- X ## a, q(X), p(X).\n"
+                 "q(a).\n")
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "g", *label)
+    assert code == 1 and out == ""
+
+
 def test_naf_mode_validate_rejects_undeclared(tmp_path, capsys):
     p = tmp_path / "naf.aclp"
     p.write_text("p :- not(q).\nq :- fail.\n")

@@ -188,6 +188,17 @@ X0, X1 = Var("X0", 0), Var("X1", 1)
     # each side keeps its own atom order
     ((["a", "b", "c"], ["c", "b"]), Eq(X0, X1), True,
      "X0 ∈ {b,c}\nX1 ∈ {c,b}\n_X0#0 #= _X1#1"),
+    # a fixed side of a disjunction is decided by its pruner: an atom
+    # takes no offset, and ordering an atom is a type error
+    ((["a"], range(6)), Or(Eq(Struct("+", (X0, Int(1))), Atom("a")),
+                           Eq(X1, Int(9))), False,
+     "X0 ∈ {a}\nX1 ∈ {0..5}\n(+(_X0#0,1) #= a #\\/ _X1#1 #= 9)"),
+    ((["a"], range(6)), Or(Lt(Atom("a"), Atom("b")), Eq(X1, Int(9))),
+     StoreTypeError, "X0 ∈ {a}\nX1 ∈ {0..5}\n(a #< b #\\/ _X1#1 #= 9)"),
+    ((["a"], range(6)), Or(Lt(X0, Atom("b")), Eq(X1, Int(9))),
+     StoreTypeError, "X0 ∈ {a}\nX1 ∈ {0..5}\n(_X0#0 #< b #\\/ _X1#1 #= 9)"),
+    ((["a"], range(6)), Or(Neq(Struct("+", (X0, Int(1))), Atom("a")),
+                           Eq(X1, Int(9))), True, "X0 ∈ {a}\nX1 ∈ {0..5}"),
 ])
 def test_scalar_pruner_corner_cases(domains, c, result, rendered):
     store, _ = make(*domains)
@@ -197,6 +208,27 @@ def test_scalar_pruner_corner_cases(domains, c, result, rendered):
     else:
         assert store.post(c) is result
     assert store.render() == rendered
+
+
+_FIXED = [Int(0), Int(1), Atom("a"), Atom("b"), X0, X1,
+          Struct("+", (X0, Int(1))), Struct("+", (X1, Int(1)))]
+
+
+@pytest.mark.parametrize("op", [Eq, Neq, Lt, Le, Gt, Ge])
+def test_ground_truth_of_a_fixed_comparison_is_the_verdict_of_posting_it(op):
+    # X0 in {0} and X1 in {a}: every operand is fixed
+    for a in _FIXED:
+        for b in _FIXED:
+            c = op(a, b)
+            try:
+                truth = make([0], ["a"])[0]._try_ground(c)
+            except StoreTypeError:
+                truth = StoreTypeError
+            try:
+                posted = make([0], ["a"])[0].post(c)
+            except StoreTypeError:
+                posted = StoreTypeError
+            assert truth is posted, c
 
 
 @pytest.mark.parametrize("atoms", [["a", "b"], ["a"]])
