@@ -339,12 +339,10 @@ class Solver:
     def _make_answer(self):
         delta = tuple(self._resolve_lit(h.lit) for h in self.delta)
         prov = tuple(h.provenance for h in self.delta)
-        st = self.store.clone()
-        st.constraints = [map_constraint(c, self.subst.walk)
-                          for c in st.constraints]
         # bindings made since a constraint was posted may decide it, as
         # when unification grounds the variable of a pending `X ## a`
-        if not st._propagate():
+        st = self.store.mapped(self.subst.walk)
+        if st is None:
             return None
         # project onto variables the answer can mention: those in the
         # hypotheses and those constrained by a residual constraint

@@ -5,11 +5,26 @@ Constraints are immutable values; the store holds the mutable state:
 variable domains, the set of active constraints and a trail so that
 snapshot/restore is exact.  Propagation runs to fixpoint after every post:
 bounds consistency for the order constraints, arc consistency for equality
-and disequality.  A disjunction is woken at every sweep: a side whose
+and disequality.  A disjunction is pruned in every pass: a side whose
 comparisons are all fixed is decided by their truth, and each other side
 is probed by posting it under a snapshot, except inside such a probe; the
 disjunction is entailed by a true side and replaced by its one satisfiable
 side.
+
+Propagation is driven by an agenda of woken constraint indices.  Every
+constraint but a disjunction sits on the watch list of each variable it
+names: a domain write wakes the watchers of its variable, and adding a
+constraint wakes it.  A pass prunes the woken constraints in increasing
+index order; one woken at or before the index being pruned waits for the
+next pass, and passes go on while a pass writes a domain.  A
+disjunction's probe reads the whole store, so every pass prunes every
+disjunction.  Each propagation call starts a new pass; a call made while
+a pass runs (a pruner posting or declaring) then hands back to that
+pass, which goes on over the disjunctions after its position.  This
+prunes in the order of a sweep over every constraint, repeated until a
+sweep writes nothing, leaving out only the prunes that could not change
+anything: those of comparisons whose variables have not been written
+since they were last pruned.
 
 Scalar constraint arguments may carry an integer offset (``X + 3``), which
 is what scheduling programs need to relate start times and durations.  The
@@ -23,8 +38,10 @@ atom is a type error, inside a disjunction too.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
@@ -370,6 +387,21 @@ def map_constraint(c: Constraint, f) -> Constraint:
                  lambda x, a, b: type(x)(a, b))
 
 
+def _watched(c: Constraint):
+    """The ids of the variables whose writes wake `c`, each once: those its
+    operands name, none for a disjunction, which every pass prunes.  The
+    store holds no other connective."""
+    if isinstance(c, Or):
+        return ()
+    ids = {}
+    for t in (c.a, c.b):
+        if isinstance(t, Var):
+            ids[t.id] = None
+        elif isinstance(t, Struct):
+            ids.update((v.id, None) for v in term_vars(t))
+    return ids
+
+
 def spell_constraint(c: Constraint, leaf) -> str:
     """Text of `c`: leaf(x) for each comparison x, and `(a op b)` for each
     connective."""
@@ -443,7 +475,15 @@ class ConstraintStore:
         self.consistent = True
         self._trail: list[tuple] = []
         self._probing = 0             # nesting depth of satisfiability probes
-        self._writes = 0              # domain-write counter for propagation
+        # watch lists: variable id -> indices of the constraints naming it,
+        # in increasing order; the disjunctions' indices are kept apart
+        self._watch: dict[int, list[int]] = {}
+        self._ors: list[int] = []
+        # the agenda
+        self._pos = -1          # index the running pass prunes; -1 between
+        self._now: list[int] = []   # heap of indices woken after _pos
+        self._later: set[int] = set()   # indices woken at or before _pos
+        self._wrote = False     # the running pass wrote a domain
 
     # -- trail ---------------------------------------------------------------
 
@@ -469,16 +509,34 @@ class ConstraintStore:
                 self.states[idx] = old
             elif kind == "flag":
                 self.consistent = op[1]
+        for idx in range(len(self.constraints) - 1, clen - 1, -1):
+            c = self.constraints[idx]
+            if isinstance(c, Or):
+                self._ors.pop()
+            for vid in _watched(c):
+                watchers = self._watch[vid]
+                watchers.pop()
+                if not watchers:
+                    del self._watch[vid]
         del self.constraints[clen:]
         del self.states[clen:]
+        self._now.clear()           # what a failed propagation left woken
+        self._later.clear()
 
     def _set_domain(self, v: Var, dom: Domain) -> None:
         old = self.domains.get(v.id)
         self._trail.append(("dom", v.id, old))
         self.domains[v.id] = dom
-        self._writes += 1
         if old is None:
             self.var_names[v.id] = v.name
+        self._wrote = True      # so another pass runs
+        pos, states = self._pos, self.states
+        for idx in self._watch.get(v.id, ()):
+            if states[idx] == ACTIVE:
+                if idx > pos:
+                    heappush(self._now, idx)
+                else:
+                    self._later.add(idx)
 
     def _set_state(self, idx: int, state: int) -> None:
         self._trail.append(("state", idx, self.states[idx]))
@@ -529,21 +587,39 @@ class ConstraintStore:
         if isinstance(c, _SCALAR):
             if not self._prepare_scalar(c):
                 return False
-        self.constraints.append(c)
-        self.states.append(ACTIVE)
+        self._enter(c)
         return self._propagate()
 
     def _add(self, c) -> bool:
         """Put `c` on the constraint list, prepared as `post` prepares it,
-        for the running propagation sweep to prune; False when preparing
+        for the running propagation pass to prune; False when preparing
         it empties a domain.  A term (dis)equality waits there as pending
         until `_prune_pending_term` decomposes it."""
         for x in _parts(c, And):
             if isinstance(x, _SCALAR) and not self._prepare_scalar(x):
                 return False
-            self.constraints.append(x)
-            self.states.append(ACTIVE)
+            self._enter(x)
         return True
+
+    def _enter(self, c: Constraint) -> None:
+        """Append `c` as active, watched and woken."""
+        idx = len(self.constraints)
+        self.constraints.append(c)
+        self.states.append(ACTIVE)
+        self._watch_one(idx, c)
+        heappush(self._now, idx)      # after every index pruned so far
+
+    def _watch_one(self, idx: int, c: Constraint) -> None:
+        if isinstance(c, Or):
+            self._ors.append(idx)
+        for vid in _watched(c):
+            self._watch.setdefault(vid, []).append(idx)
+
+    def _watch_all(self) -> None:
+        """Build the watch lists from the constraint list."""
+        self._watch, self._ors = {}, []
+        for idx, c in enumerate(self.constraints):
+            self._watch_one(idx, c)
 
     def _prepare_scalar(self, c) -> bool:
         """Give default integer domains to undeclared arithmetic variables."""
@@ -571,8 +647,7 @@ class ConstraintStore:
         if self._untyped(a) or self._untyped(b):
             if isinstance(c, TermEq) and not self._untyped(a):
                 c = TermEq(b, a)
-            self.constraints.append(c)
-            self.states.append(ACTIVE)
+            self._enter(c)
             return self._propagate()
         pairs = _arg_pairs(a, b)
         if pairs is None:  # never equal
@@ -590,24 +665,61 @@ class ConstraintStore:
         return isinstance(t, Var) and not self.has_domain(t)
 
     def _propagate(self) -> bool:
+        """Prune the woken constraints, pass after pass, until a pass writes
+        no domain; False when one fails.  Called while a pass is running,
+        it runs to fixpoint and then hands back to that pass, as a nested
+        sweep over every constraint would: the pass goes on over the
+        disjunctions after its position, and runs once more if this call
+        wrote a domain."""
         if not self.consistent:
             return False
-        # pruners report fail/entail/none; a sweep that wrote a domain, with
-        # any of these, rewakes every constraint.  A list iterator reaches
-        # the items appended while it runs, so a sweep also prunes the
-        # constraints a pruner adds during it (`_add`).
-        writes = None
-        while writes != self._writes:
-            writes = self._writes
-            for idx, state in enumerate(self.states):
-                if state != ACTIVE:
-                    continue
-                res = self._prune(idx, self.constraints[idx])
-                if res == "fail":
-                    return self._fail()
-                if res == "entail":
-                    self._set_state(idx, ENTAILED)
+        outer, outer_wrote = self._pos, self._wrote
+        wrote = False
+        try:
+            while True:
+                self._next_pass()
+                while self._now:
+                    idx = heappop(self._now)
+                    if idx <= self._pos:
+                        continue              # woken twice in this pass
+                    self._pos = idx
+                    if self.states[idx] != ACTIVE:
+                        continue
+                    res = self._prune(idx, self.constraints[idx])
+                    if res == "fail":
+                        return self._fail()
+                    if res == "entail":
+                        self._set_state(idx, ENTAILED)
+                if not self._wrote:
+                    break
+                wrote = True
+        except StoreTypeError:
+            # the constraint stays active and woken: the next propagation
+            # meets it again
+            self._later.add(self._pos)
+            raise
+        finally:
+            self._pos = outer
+        if outer >= 0:
+            self._wrote = outer_wrote or wrote
+            self._wake_ors(outer)
         return True
+
+    def _next_pass(self) -> None:
+        if self._later:
+            self._now += self._later
+            self._later.clear()
+            heapify(self._now)
+        self._pos = -1
+        self._wrote = False
+        if self._ors:
+            self._wake_ors(-1)
+
+    def _wake_ors(self, pos: int) -> None:
+        """Wake the active disjunctions after index `pos`."""
+        for idx in self._ors[bisect_right(self._ors, pos):]:
+            if self.states[idx] == ACTIVE:
+                heappush(self._now, idx)
 
     # -- individual propagators ----------------------------------------------
 
@@ -647,8 +759,11 @@ class ConstraintStore:
     def _prune_scalar(self, c: Constraint, a, b) -> str:
         """Prune the comparison `c` over its operands read as `_operand`
         triples.  With both operands fixed it writes nothing, and its
-        verdict is the truth of `c` (`_ground_truth`)."""
-        if a[0] is not None and b[0] is not None and a[0].id == b[0].id:
+        verdict is the truth of `c` (`_ground_truth`).  One variable on both
+        sides is decided by its offsets, unless it is atom-typed with an
+        offset, which the pruners below settle."""
+        if a[0] is not None and b[0] is not None and a[0].id == b[0].id \
+                and not (isinstance(a[2], AtomDomain) and (a[1] or b[1])):
             return "entail" if _TRUTH[type(c)](a[1], b[1]) else "fail"
         if isinstance(c, Eq):
             return self._prune_eq(a, b)
@@ -721,7 +836,7 @@ class ConstraintStore:
 
     def _prune_or(self, idx: int, c: Or) -> str:
         # a decided disjunction hands its surviving side to the running
-        # sweep (`_add`) rather than posting it, so a chain of disjunctions
+        # pass (`_add`) rather than posting it, so a chain of disjunctions
         # decided one after another does not nest calls
         ga, gb = self._try_ground(c.a), self._try_ground(c.b)
         if ga is True or gb is True:
@@ -757,17 +872,17 @@ class ConstraintStore:
         return _VERDICT.get(self._prune_scalar(c, a, b))
 
     def _test_sat(self, c: Constraint) -> bool:
+        # the probe prunes what the running pass has woken, as the pass
+        # would; it is fully undone, and so are the wakes of its writes
         mark = self.snapshot()
-        writes = self._writes
+        agenda = (self._pos, list(self._now), set(self._later), self._wrote)
         self._probing += 1
         try:
             return self.post(c)
         finally:
             self._probing -= 1
             self.restore(mark)
-            # the probe is fully undone, so its domain writes must not
-            # rewake the enclosing propagation sweep
-            self._writes = writes
+            self._pos, self._now, self._later, self._wrote = agenda
 
     # -- queries -------------------------------------------------------------
 
@@ -854,7 +969,19 @@ class ConstraintStore:
         out.constraints = list(self.constraints)
         out.states = list(self.states)
         out.consistent = self.consistent
+        out._watch = {vid: list(ixs) for vid, ixs in self._watch.items()}
+        out._ors = list(self._ors)
         return out
+
+    def mapped(self, f) -> Optional["ConstraintStore"]:
+        """A clone with each constraint's operands mapped by `map_term(., f)`,
+        propagated with every active constraint woken; None when that
+        fails."""
+        out = self.clone()
+        out.constraints = [map_constraint(c, f) for c in out.constraints]
+        out._watch_all()
+        out._now = [i for i, s in enumerate(out.states) if s == ACTIVE]
+        return out if out._propagate() else None
 
     def active_constraints(self) -> list:
         return [c for c, s in zip(self.constraints, self.states) if s == ACTIVE]

@@ -27,7 +27,7 @@ class UnknownPredicateError(AclpError):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     id: int
@@ -36,7 +36,7 @@ class Var:
         return f"_{self.name}#{self.id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Int:
     value: int
 
@@ -44,7 +44,7 @@ class Int:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     name: str
 
@@ -52,7 +52,7 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Struct:
     functor: str
     args: tuple
@@ -182,7 +182,7 @@ class VarCounter:
 # Literals, clauses, integrity constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserLit:
     name: str
     args: tuple
@@ -201,7 +201,7 @@ class UserLit:
         return f"{self.name}({','.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintLit:
     constraint: "object"  # store.Constraint; kept loose to avoid a cycle
 
@@ -209,7 +209,7 @@ class ConstraintLit:
         return repr(self.constraint)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NafLit:
     """Surface syntax only: compiled away before execution."""
 
@@ -222,7 +222,7 @@ class NafLit:
 Literal = Union[UserLit, ConstraintLit, NafLit]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainDecl:
     """A `Var :: Domain` goal; behaves like a body literal."""
 
@@ -237,7 +237,7 @@ class DomainDecl:
         return f"{self.var!r} :: {self.lo!r}..{self.hi!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     head: UserLit
     body: tuple
@@ -248,7 +248,7 @@ class Clause:
         return f"{self.head!r} :- {', '.join(map(repr, self.body))}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegrityConstraint:
     body: tuple
 

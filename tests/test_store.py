@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from aclp.store import (And, AtomDomain, ConstraintStore, Eq, Ge, Gt,
+from aclp.store import (ACTIVE, And, AtomDomain, ConstraintStore, Eq, Ge, Gt,
                         IntDomain, Le, Lt, Neq, Or, StoreTypeError, TermEq,
                         TermNeq, constraint_vars, map_constraint, negate,
                         split_offset)
@@ -199,6 +199,13 @@ X0, X1 = Var("X0", 0), Var("X1", 1)
      StoreTypeError, "X0 ∈ {a}\nX1 ∈ {0..5}\n(_X0#0 #< b #\\/ _X1#1 #= 9)"),
     ((["a"], range(6)), Or(Neq(Struct("+", (X0, Int(1))), Atom("a")),
                            Eq(X1, Int(9))), True, "X0 ∈ {a}\nX1 ∈ {0..5}"),
+    # so does an atom-typed variable on both sides
+    ((["a"],), Eq(Struct("+", (X0, Int(1))), Struct("+", (X0, Int(1)))),
+     False, "X0 ∈ {a}\n+(_X0#0,1) #= +(_X0#0,1)"),
+    ((["a"],), Neq(Struct("+", (X0, Int(1))), Struct("+", (X0, Int(1)))),
+     True, "X0 ∈ {a}"),
+    ((["a"],), Lt(X0, Struct("+", (X0, Int(1)))), StoreTypeError,
+     "X0 ∈ {a}\n_X0#0 #< +(_X0#0,1)"),
 ])
 def test_scalar_pruner_corner_cases(domains, c, result, rendered):
     store, _ = make(*domains)
@@ -236,6 +243,16 @@ def test_ordering_an_atom_variable_is_a_type_error(atoms):
     store, (x,) = make(atoms)
     with pytest.raises(StoreTypeError, match="order constraint over atoms"):
         store.post(Lt(x, Int(3)))
+
+
+def test_an_ill_typed_constraint_stays_active_and_woken():
+    # the second post, which is well typed, meets the first one again
+    store, (x, y) = make(["a", "b"], range(6))
+    for c in (Lt(x, Int(3)), Le(y, Int(3))):
+        with pytest.raises(StoreTypeError, match="order constraint over atoms"):
+            store.post(c)
+    assert store.render() == \
+        "X0 ∈ {a,b}\nX1 ∈ {0..5}\n_X0#0 #< 3\n_X1#1 #<= 3"
 
 
 def test_connectives_nested_deeper_than_the_recursion_limit():
@@ -277,6 +294,94 @@ def test_disjunctions_decided_one_after_another_deeper_than_the_recursion_limit(
     assert store.post(disj)
     assert store.domains[x.id] == IntDomain.of([1])
     assert store.active_constraints() == []
+
+
+# -- the propagation agenda -------------------------------------------------
+
+def test_a_disjunction_probe_reads_the_whole_store():
+    # posting Y ## Z, which does not name X, prunes X's disjunction again:
+    # with X in {1, 2} and Y = Z = X, the probe of X #= 1 fails under
+    # Y ## Z, and so does that of X #= 2
+    store, (x, y, z) = make(*[range(6)] * 3)
+    assert store.post(Or(Eq(x, Int(1)), Eq(x, Int(2))))
+    assert store.post(Eq(y, x))
+    assert store.post(Eq(z, x))
+    assert store.post(Neq(y, z)) is False
+
+
+def test_a_pass_that_writes_reprobes_every_disjunction_in_the_next():
+    # the write to A wakes both disjunctions; the second is decided in the
+    # same pass and adds X #< Z, which writes nothing but refutes the first
+    # disjunction's left side when the next pass probes it again
+    store, (a, x, z, w) = make(range(10), range(6), range(1, 7), [0, 1])
+    b = Var("B", 4)
+    assert store.post(Le(a, b))
+    assert store.post(Or(And(Ge(x, Int(3)), Le(z, Int(3))), Eq(w, Int(1))))
+    assert store.post(Or(Lt(x, z), Ge(b, Int(7))))
+    assert store.declare(b, IntDomain.range(0, 5))
+    assert store.domains[w.id] == IntDomain.of([1])
+
+
+def test_a_nested_propagation_hands_the_disjunctions_back_to_its_caller():
+    # declaring Q types the pending Q ##= V, whose post propagates inside
+    # the running pass; there the last disjunction decides B #<= 5, then
+    # the second X #< Z, after the first was probed for the last time in
+    # that call: the enclosing pass probes it again
+    store, (b, v, x, z, w) = make(range(101), range(101), range(6),
+                                  range(1, 7), [0, 1])
+    q = Var("Q", 5)
+    assert store.post(TermEq(q, v))
+    assert store.post(Or(And(Ge(x, Int(3)), Le(z, Int(3))), Eq(w, Int(1))))
+    assert store.post(Or(Lt(x, z), Ge(b, Int(7))))
+    assert store.post(Or(Le(b, Int(5)), Ge(v, Int(9))))
+    assert store.declare(q, IntDomain.range(0, 5))
+    assert store.domains[w.id] == IntDomain.of([1])
+
+
+def test_a_post_prunes_only_the_constraints_it_wakes():
+    n = 200
+    store, vars_ = make(*[range(10)] * (2 * n))
+    for i in range(n):
+        assert store.post(Le(vars_[i], vars_[n + i]))
+    pruned = []
+    prune = store._prune
+    store._prune = lambda idx, c: pruned.append(idx) or prune(idx, c)
+    assert store.post(Le(vars_[0], Int(3)))
+    assert 1 <= len(pruned) <= 3 and set(pruned) <= {0, n}
+
+
+def _assert_at_fixpoint(store):
+    mark = store.snapshot()
+    for idx, c in enumerate(store.constraints):
+        if store.states[idx] == ACTIVE:
+            assert store._prune(idx, c) == "none", c
+            assert store.snapshot() == mark, c
+
+
+def _assert_watch_lists_rebuilt(store):
+    rebuilt = store.clone()
+    rebuilt._watch_all()
+    assert (store._watch, store._ors) == (rebuilt._watch, rebuilt._ors)
+
+
+def test_propagation_reaches_a_fixpoint_and_restore_trims_the_watch_lists():
+    # after every successful post no active constraint can prune further;
+    # an undone post leaves the watch lists of the constraints that stay
+    from oracles import random_store_case
+    for seed in range(1000):
+        _, domains, constraints = random_store_case(random.Random(seed))
+        for cs in (constraints, [negate(c) for c in constraints]):
+            store, ok = build_store(domains, [], ConstraintStore)
+            assert ok
+            for c in cs:
+                if not store.post(c):
+                    break
+                _assert_at_fixpoint(store)
+                mark, text = store.snapshot(), store.render()
+                store.post(negate(c))
+                store.restore(mark)
+                assert store.render() == text
+                _assert_watch_lists_rebuilt(store)
 
 
 # -- negation ---------------------------------------------------------------
