@@ -44,7 +44,7 @@ from .store import (DEFAULT_HI, DEFAULT_LO, And, AtomDomain, ConstraintStore,
                     negate)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
-                    UnknownPredicateError, literal_terms, map_literal,
+                    UnknownPredicateError, map_literal,
                     map_term, rename_conjunction, standardize_apart,
                     standardize_ic, term_vars, unify_terms)
 from .theory import AbductiveTheory
@@ -143,32 +143,17 @@ def _clash(k1, k2) -> bool:
     return k1 is not None and k2 is not None and k1 != k2
 
 
-def _var_count(lits) -> int:
-    """Number of distinct variables in `lits`: the ids renaming them apart
-    draws."""
-    return len({v.id for lit in lits for t in literal_terms(lit)
-                for v in term_vars(t)})
-
-
 class _ICIndex:
     """The IC body literals of one indicator, looked up by first-argument
-    key.  Each entry is (ic, pos, ids drawn by renaming the entries before
-    it), in `ordered_ics` x `pos` order; `total` is the ids all of them
-    draw."""
+    key.  Each entry is (ic, pos), in `ordered_ics` x `pos` order."""
 
     def __init__(self, ics, indicator):
-        self.entries, keys, drawn = [], [], 0
+        self.entries, self._keys = [], []
         for ic in ics:
-            nvars = None
             for pos, b in enumerate(ic.body):
                 if isinstance(b, UserLit) and b.indicator == indicator:
-                    if nvars is None:
-                        nvars = _var_count(ic.body)
-                    self.entries.append((ic, pos, drawn))
-                    keys.append(_key(b.args[0]) if b.args else None)
-                    drawn += nvars
-        self.total = drawn
-        self._keys = keys
+                    self.entries.append((ic, pos))
+                    self._keys.append(_key(b.args[0]) if b.args else None)
         self._by_key = {}
 
     def lookup(self, key):
@@ -258,21 +243,6 @@ class Solver:
                        tuple(map_term(b, rename) for b in i.b))
                 if isinstance(i, _Match) else map_literal(i, rename)
                 for i in items]
-
-    def _local_count(self, items) -> int:
-        """Number of ids `_fresh_locals(items)` would draw now, counted by a
-        walk under the substitution that copies nothing."""
-        stack, seen = [], set()
-        for i in items:
-            stack.extend(i.a + i.b if isinstance(i, _Match)
-                         else literal_terms(i))
-        while stack:
-            t = self.subst.walk(stack.pop())
-            if isinstance(t, Struct):
-                stack.extend(t.args)
-            elif self._renamable(t):
-                seen.add(t.id)
-        return len(seen)
 
     def _first_key(self, lit):
         return _key(self.subst.walk(lit.args[0])) if lit.args else None
@@ -448,7 +418,11 @@ class Solver:
     # -- abduction -----------------------------------------------------------
 
     def _assume(self, lit: UserLit, depth, proceed):
-        reusable = [h for h in self.delta if h.lit.indicator == lit.indicator]
+        # a hypothesis whose first argument clashes with `lit`'s could only
+        # fail to unify, and an exact duplicate has the same key
+        key = self._first_key(lit)
+        reusable = [h for h in self.delta if h.lit.indicator == lit.indicator
+                    and not _clash(key, self._first_key(h.lit))]
 
         # reuse existing hypotheses first, in insertion order
         def reuse(j):
@@ -463,7 +437,7 @@ class Solver:
         # then assume a fresh one (skip exact duplicates: reuse covered them)
         def assume():
             resolved = self._resolve_lit(lit)
-            if any(self._resolve_lit(h.lit) == resolved for h in self.delta):
+            if any(self._resolve_lit(h.lit) == resolved for h in reusable):
                 return None
             self.delta.append(Hypothesis(resolved, "goal"))
             return self._consistency(resolved, depth, proceed)
@@ -477,37 +451,28 @@ class Solver:
         `hyp` and re-establishing every denial it threatens.
 
         A pairing whose first arguments clash (`_clash`) cannot match, so
-        its residual would fail at once: it is skipped before any renaming,
-        and the counter advances by the ids the renaming would have drawn,
-        so every later fresh id is the same as without the skip.  A skipped
-        pairing never reaches `_fail_conj`, so it neither sets
-        `depth_limit_hit` nor ticks the time budget."""
+        its residual would fail at once: it is skipped before any renaming.
+        A skipped pairing draws no fresh ids and never reaches `_fail_conj`,
+        so it neither sets `depth_limit_hit` nor ticks the time budget."""
         key = self._first_key(hyp)
         conjs = []
         index = self._ic_index.get(hyp.indicator)
         if index is None:
             index = self._ic_index[hyp.indicator] = _ICIndex(
                 self.ordered_ics, hyp.indicator)
-        drawn = 0
-        for ic, pos, before in index.lookup(key):
-            self.counter.skip(before - drawn)
+        for ic, pos in index.lookup(key):
             renamed, newvars = standardize_ic(ic, self.counter)
-            drawn = before + len(newvars)
             self.local_ids.update(v.id for v in newvars)
             residual = [_Match(renamed.body[pos].args, hyp.args)]
             residual.extend(l for j, l in enumerate(renamed.body) if j != pos)
             conjs.append(residual)
-        self.counter.skip(index.total - drawn)
         # denials were justified by "no hypothesis matches this literal";
         # the new hypothesis must leave each of them finitely failed
-        for d_lit, d_rest in list(self.denials):
-            if d_lit.indicator != hyp.indicator:
+        for d_lit, d_rest in self.denials:
+            if (d_lit.indicator != hyp.indicator
+                    or _clash(self._first_key(d_lit), key)):
                 continue
-            items = [d_lit] + list(d_rest)
-            if _clash(self._first_key(d_lit), key):
-                self.counter.skip(self._local_count(items))
-                continue
-            fresh = self._fresh_locals(items)
+            fresh = self._fresh_locals([d_lit] + list(d_rest))
             conjs.append([_Match(fresh[0].args, hyp.args)] + fresh[1:])
         return self._refute_all(conjs, 0, depth, k)
 
@@ -679,16 +644,10 @@ class Solver:
         `lit`'s is skipped as in `_consistency`."""
         key = self._first_key(lit)
         items = [lit] + list(rest)
-        conjs, skip = [], None
+        conjs = []
         for h in self.delta:
-            if h.lit.indicator != lit.indicator:
-                continue
-            if _clash(key, self._first_key(h.lit)):
-                # counted once: a renaming's fresh ids are not in `items`,
-                # so every skip here advances the counter alike
-                if skip is None:
-                    skip = self._local_count(items)
-                self.counter.skip(skip)
+            if (h.lit.indicator != lit.indicator
+                    or _clash(key, self._first_key(h.lit))):
                 continue
             fresh = self._fresh_locals(items)
             conjs.append([_Match(fresh[0].args,

@@ -9,7 +9,7 @@ them is delegated to the constraint store so propagation sees it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 
 class AclpError(Exception):
@@ -172,11 +172,6 @@ class VarCounter:
         self._next += 1
         return v
 
-    def skip(self, n: int) -> None:
-        """Advance past the `n` ids a renaming that was not made would
-        have drawn, so later fresh ids are the same as if it had been."""
-        self._next += n
-
 
 # ---------------------------------------------------------------------------
 # Literals, clauses, integrity constraints
@@ -268,20 +263,6 @@ def map_literal(lit: Literal, f) -> Literal:
     if isinstance(lit, DomainDecl):
         return DomainDecl(map_term(lit.var, f), map_term(lit.lo, f),
                           map_term(lit.hi, f), lit.atoms)
-    raise TypeError(lit)
-
-
-def literal_terms(lit: Literal) -> Sequence[Term]:
-    """The terms that hold the variables of `lit`, left to right: its
-    arguments, or the operands of its comparisons."""
-    while isinstance(lit, NafLit):
-        lit = lit.inner
-    if isinstance(lit, UserLit):
-        return lit.args
-    if isinstance(lit, ConstraintLit):
-        return _store.constraint_terms(lit.constraint)
-    if isinstance(lit, DomainDecl):
-        return (lit.var, lit.lo, lit.hi)
     raise TypeError(lit)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from aclp.store import (And, AtomDomain, Eq, Ge, Gt, IntDomain, Le, Lt, Neq,
                         Or, TermEq, TermNeq, split_offset)
@@ -429,3 +430,39 @@ def random_naf_program_text(rng: random.Random):
                          f"{preds[i]} :- {', '.join(body)}.")
     goal = rng.choice(defined) if defined else None
     return "\n".join(lines) + "\n", goal
+
+
+# ---------------------------------------------------------------------------
+# Answer records up to a renaming of variable ids
+# ---------------------------------------------------------------------------
+
+_VAR_ID = re.compile(r"#(\d+)")
+
+
+def canonical_ids(record):
+    """`record` with its variable ids renumbered 0, 1, ... in order of first
+    appearance: each `#<digits>` in a string (a Δ repr or a store render)
+    and the id of each `[id, value]` pair of a "labelling" list.
+
+    Fresh variable ids are not part of an answer, so answer records are
+    compared through this: two records are equal under it exactly when a
+    one-to-one renaming of ids maps one onto the other.  Renumber a whole
+    case at once, so that the variables its answers share stay pinned.
+    Tuples come back as lists."""
+    ids: dict[int, int] = {}
+
+    def num(vid):
+        return ids.setdefault(vid, len(ids))
+
+    def walk(x, key=None):
+        if isinstance(x, str):
+            return _VAR_ID.sub(lambda m: f"#{num(int(m.group(1)))}", x)
+        if isinstance(x, dict):
+            return {k: walk(v, k) for k, v in x.items()}
+        if key == "labelling" and x is not None:
+            return [[num(vid), walk(value)] for vid, value in x]
+        if isinstance(x, (list, tuple)):
+            return [walk(v) for v in x]
+        return x
+
+    return walk(record)

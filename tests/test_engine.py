@@ -19,7 +19,8 @@ from aclp.terms import (Atom, Clause, Int, IntegrityConstraint, Struct,
                         UnknownPredicateError, UserLit, Var)
 from aclp.theory import AbductiveTheory
 
-from oracles import random_naf_program_text, random_theory_text
+from oracles import (canonical_ids, random_naf_program_text,
+                     random_theory_text)
 
 
 def answers(text, goal, initial=(), config=None, limit=10):
@@ -421,8 +422,10 @@ def _first_answers(theory, goal, strip=False):
         for ans in stream:
             delta = [UserLit(l.name, l.args[1:]) if strip else l
                      for l in ans.delta]
-            out.append((repr(delta), ans.store.render(),
-                        next(ans.labellings(), None)))
+            sol = next(ans.labellings(), None)
+            out.append({"delta": repr(delta), "store": ans.store.render(),
+                        "labelling": None if sol is None else
+                        [[vid, repr(t)] for vid, t in sol.items()]})
             if len(out) == 3:
                 break
     except Exception as exc:          # the error type is part of the record
@@ -433,8 +436,11 @@ def _first_answers(theory, goal, strip=False):
 
 
 def _index_is_exact(theory, goal):
-    return _first_answers(theory, goal) == _first_answers(
-        _prefix_theory(theory), list(map(_prefix_lit, goal)), strip=True)
+    """Whether the answers equal, up to a renumbering of variable ids, those
+    of the same programs with k prefixed, which no index can skip."""
+    return canonical_ids(_first_answers(theory, goal)) == canonical_ids(
+        _first_answers(_prefix_theory(theory), list(map(_prefix_lit, goal)),
+                       strip=True))
 
 
 def _exactness_cases():
@@ -461,8 +467,9 @@ def _exactness_cases():
 
 
 def test_first_argument_index_is_exact():
-    # skipping a clashing pairing must change nothing, down to the ids of
-    # the fresh variables: the same programs with k prefixed skip nothing
+    # skipping a clashing pairing or Δ reuse must change nothing but the
+    # numbers of fresh variable ids: the same programs with k prefixed
+    # skip nothing
     mismatches = [name for name, theory, goal in _exactness_cases()
                   if not _index_is_exact(theory, goal)]
     assert mismatches == []
@@ -557,3 +564,58 @@ def test_denial_first_argument_bound_after_it_was_recorded(monkeypatch):
     assert answers(text, "g(Y, one)") == []
     for goal in ("g(Y, two)", "g(Y, one)"):
         assert _index_is_exact(parse_theory(text), parse_goal(goal))
+
+
+def _record_reuses(monkeypatch):
+    """The first arguments of the hypotheses that Δ reuse tries to unify,
+    in order, and the number of reuse choice points pushed.  The programs
+    using it have one 2-ary abducible and 1-ary clauses only, so every
+    2-argument `_unify_args` is a reuse."""
+    tried, choices = [], Counter()
+    unify_args, choice = Solver._unify_args, Solver._choice
+
+    def recording_unify(self, args1, args2):
+        if len(args1) == 2:
+            tried.append(args1[0])
+        return unify_args(self, args1, args2)
+
+    def counting_choice(self, step, mark=None):
+        if ".reuse." in step.__qualname__:
+            choices["reuse"] += 1
+        return choice(self, step, mark)
+
+    monkeypatch.setattr(Solver, "_unify_args", recording_unify)
+    monkeypatch.setattr(Solver, "_choice", counting_choice)
+    return tried, choices
+
+
+def test_hypotheses_with_a_clashing_first_argument_are_not_reused(
+        monkeypatch):
+    text = """
+        abducible_predicate(a/2).
+        g(X) :- a(2, Y), a(3, Z), a(1, X).
+    """
+    tried, choices = _record_reuses(monkeypatch)
+    (ans,) = answers(text, "g(X)")
+    assert [l.args[0] for l in ans.delta] == [Int(2), Int(3), Int(1)]
+    assert tried == [] and choices["reuse"] == 0
+    monkeypatch.undo()
+    assert _index_is_exact(parse_theory(text), parse_goal("g(X)"))
+
+
+@pytest.mark.parametrize("decl, reused", [("true", 3), ("X :: 1..3", 2)])
+def test_variable_first_argument_tries_every_hypothesis(monkeypatch, decl,
+                                                        reused):
+    # a(X, W) may reuse each hypothesis in turn, in insertion order; a
+    # domain variable fails against one in the store, not by its key
+    text = f"""
+        abducible_predicate(a/2).
+        g(X) :- a(2, p), a(one, q), a(3, r), {decl}, a(X, W).
+    """
+    tried, choices = _record_reuses(monkeypatch)
+    out = answers(text, "g(X)")
+    assert tried == [Int(2), Atom("one"), Int(3)]
+    assert choices["reuse"] == 3
+    assert [len(ans.delta) for ans in out] == [3] * reused + [4]
+    monkeypatch.undo()
+    assert _index_is_exact(parse_theory(text), parse_goal("g(X)"))
