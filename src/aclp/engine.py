@@ -138,22 +138,51 @@ def _key(t):
     return t
 
 
-def _clash(k1, k2) -> bool:
-    """Whether terms with keys k1 and k2 can never unify."""
-    return k1 is not None and k2 is not None and k1 != k2
+def _template_key(lit):
+    """The key of a template literal's first argument, not walked."""
+    return _key(lit.args[0]) if lit.args else None
 
 
-class _ICIndex:
-    """The IC body literals of one indicator, looked up by first-argument
-    key.  Each entry is (ic, pos), in `ordered_ics` x `pos` order."""
+def _may_unify(pattern, args, walk, template=False) -> bool:
+    """Whether the argument tuples `pattern` and `args` may unify: False
+    only when two rigid subterms differ in functor, arity or constant
+    (the WAM's pre-unification test, on every argument).  A variable
+    matches anything, a domain variable included, whose equality the
+    store may still refuse.  `args` is walked through the substitution,
+    and so is `pattern` unless it is a `template`: a clause head or an IC
+    body literal not yet renamed, whose parser ids may collide with ids
+    bound here."""
+    lists = []   # nested argument lists left to compare
+    while True:
+        for p, t in zip(pattern, args):
+            if type(p) is Var:
+                if template:
+                    continue
+                p = walk(p)
+                if type(p) is Var:
+                    continue
+            if type(t) is Var:
+                t = walk(t)
+                if type(t) is Var:
+                    continue
+            if type(p) is Struct:
+                if (type(t) is not Struct or p.functor != t.functor
+                        or len(p.args) != len(t.args)):
+                    return False
+                lists.append((p.args, t.args))
+            elif type(p) is not type(t) or p != t:
+                return False
+        if not lists:
+            return True
+        pattern, args = lists.pop()
 
-    def __init__(self, ics, indicator):
-        self.entries, self._keys = [], []
-        for ic in ics:
-            for pos, b in enumerate(ic.body):
-                if isinstance(b, UserLit) and b.indicator == indicator:
-                    self.entries.append((ic, pos))
-                    self._keys.append(_key(b.args[0]) if b.args else None)
+
+class _Index:
+    """`entries` looked up by first-argument key, `keys[i]` being entry
+    i's key; a lookup keeps the entries' order."""
+
+    def __init__(self, entries, keys):
+        self.entries, self._keys = entries, keys
         self._by_key = {}
 
     def lookup(self, key):
@@ -183,7 +212,9 @@ class Solver:
         self.denials: list = []        # (abducible lit, residual conjunction)
         self.local_ids: set[int] = set()
         self.ordered_ics = ic_order(theory.ics, self.config.ic_order)
-        self._ic_index: dict = {}      # indicator -> _ICIndex, on first use
+        self._ic_index: dict = {}      # indicator -> _Index of (ic, pos)
+        self._clause_index: dict = {}  # indicator -> _Index of clauses
+        self._atom_domains: dict = {}  # DomainDecl.atoms -> AtomDomain
         self.depth_limit_hit = False
         self.budget_hit = False
         self.answers_emitted = 0
@@ -246,6 +277,34 @@ class Solver:
 
     def _first_key(self, lit):
         return _key(self.subst.walk(lit.args[0])) if lit.args else None
+
+    def _clauses(self, lit):
+        """The clauses of `lit`'s predicate whose heads may unify with it,
+        in source order."""
+        index = self._clause_index.get(lit.indicator)
+        if index is None:
+            clauses = self.theory.clauses_for(*lit.indicator)
+            index = self._clause_index[lit.indicator] = _Index(
+                clauses, [_template_key(c.head) for c in clauses])
+        walk = self.subst.walk
+        return [c for c in index.lookup(self._first_key(lit))
+                if _may_unify(c.head.args, lit.args, walk, template=True)]
+
+    def _ic_entries(self, hyp):
+        """The (ic, pos) pairs, in `ordered_ics` x `pos` order, whose body
+        literal at pos may unify with the hypothesis `hyp`."""
+        index = self._ic_index.get(hyp.indicator)
+        if index is None:
+            entries = [(ic, pos) for ic in self.ordered_ics
+                       for pos, b in enumerate(ic.body)
+                       if isinstance(b, UserLit)
+                       and b.indicator == hyp.indicator]
+            index = self._ic_index[hyp.indicator] = _Index(
+                entries, [_template_key(ic.body[pos]) for ic, pos in entries])
+        walk = self.subst.walk
+        return [(ic, pos) for ic, pos in index.lookup(self._first_key(hyp))
+                if _may_unify(ic.body[pos].args, hyp.args, walk,
+                              template=True)]
 
     def _resolve_lit(self, lit):
         return self.subst.resolve_literal(lit)
@@ -351,7 +410,7 @@ class Solver:
         if depth >= self.config.max_depth:
             self.depth_limit_hit = True
             return None
-        lit = self._resolve_lit(goals[0])
+        lit = goals[0]
         rest = goals[1:]
         proceed = lambda: self._prove(rest, depth + 1, k)
 
@@ -372,13 +431,17 @@ class Solver:
             return self._assume(lit, depth, proceed)
 
         if self.theory.is_defined(*key):
-            return self._try_clause(self.theory.clauses_for(*key), 0, lit,
-                                    rest, depth, k)
+            clauses = self._clauses(lit)
+            if not clauses:
+                return None
+            return self._try_clause(clauses, 0, lit, rest, depth, k)
 
         raise UnknownPredicateError(*key)
 
     def _try_clause(self, clauses, i, lit, rest, depth, k):
-        """Resolve `lit` with clause i, leaving the later ones as a choice."""
+        """Resolve `lit` with clause i, leaving the later ones as a choice.
+        `clauses` holds only those that `_clauses` let through: a clause
+        whose head cannot unify is neither renamed nor left as a choice."""
         if i + 1 < len(clauses):
             self._choice(lambda: self._try_clause(clauses, i + 1, lit, rest,
                                                   depth, k))
@@ -401,7 +464,10 @@ class Solver:
     def _declare(self, decl: DomainDecl) -> bool:
         var = self.subst.resolve(decl.var)
         if decl.atoms is not None:
-            dom = AtomDomain.of([a.name for a in decl.atoms])
+            dom = self._atom_domains.get(decl.atoms)
+            if dom is None:
+                dom = self._atom_domains[decl.atoms] = AtomDomain.of(
+                    [a.name for a in decl.atoms])
             if isinstance(var, Atom):
                 return dom.contains(var.name)
         else:
@@ -418,11 +484,11 @@ class Solver:
     # -- abduction -----------------------------------------------------------
 
     def _assume(self, lit: UserLit, depth, proceed):
-        # a hypothesis whose first argument clashes with `lit`'s could only
-        # fail to unify, and an exact duplicate has the same key
-        key = self._first_key(lit)
-        reusable = [h for h in self.delta if h.lit.indicator == lit.indicator
-                    and not _clash(key, self._first_key(h.lit))]
+        # a hypothesis that `_may_unify` rejects could only fail to unify,
+        # so it gets no choice point; an exact duplicate always passes
+        walk, indicator = self.subst.walk, lit.indicator
+        reusable = [h for h in self.delta if h.lit.indicator == indicator
+                    and _may_unify(h.lit.args, lit.args, walk)]
 
         # reuse existing hypotheses first, in insertion order
         def reuse(j):
@@ -450,17 +516,12 @@ class Solver:
         """Continue with `k` once per way of refuting every IC resolving with
         `hyp` and re-establishing every denial it threatens.
 
-        A pairing whose first arguments clash (`_clash`) cannot match, so
-        its residual would fail at once: it is skipped before any renaming.
-        A skipped pairing draws no fresh ids and never reaches `_fail_conj`,
-        so it neither sets `depth_limit_hit` nor ticks the time budget."""
-        key = self._first_key(hyp)
+        A pairing that `_may_unify` rejects cannot match, so its residual
+        would fail at once: it is skipped before any renaming.  A skipped
+        pairing draws no fresh ids and never reaches `_fail_conj`, so it
+        neither sets `depth_limit_hit` nor ticks the time budget."""
         conjs = []
-        index = self._ic_index.get(hyp.indicator)
-        if index is None:
-            index = self._ic_index[hyp.indicator] = _ICIndex(
-                self.ordered_ics, hyp.indicator)
-        for ic, pos in index.lookup(key):
+        for ic, pos in self._ic_entries(hyp):
             renamed, newvars = standardize_ic(ic, self.counter)
             self.local_ids.update(v.id for v in newvars)
             residual = [_Match(renamed.body[pos].args, hyp.args)]
@@ -468,9 +529,10 @@ class Solver:
             conjs.append(residual)
         # denials were justified by "no hypothesis matches this literal";
         # the new hypothesis must leave each of them finitely failed
+        walk, indicator = self.subst.walk, hyp.indicator
         for d_lit, d_rest in self.denials:
-            if (d_lit.indicator != hyp.indicator
-                    or _clash(self._first_key(d_lit), key)):
+            if (d_lit.indicator != indicator
+                    or not _may_unify(d_lit.args, hyp.args, walk)):
                 continue
             fresh = self._fresh_locals([d_lit] + list(d_rest))
             conjs.append([_Match(fresh[0].args, hyp.args)] + fresh[1:])
@@ -497,14 +559,12 @@ class Solver:
         if depth >= self.config.max_depth:
             self.depth_limit_hit = True
             return None
-        item = goals[0]
+        lit = goals[0]
         rest = goals[1:]
         fail_rest = lambda: self._fail_conj(rest, depth + 1, k)
 
-        if isinstance(item, _Match):
-            return self._fail_match(item, fail_rest, k)
-
-        lit = self._resolve_lit(item)
+        if isinstance(lit, _Match):
+            return self._fail_match(lit, fail_rest, k)
 
         if isinstance(lit, ConstraintLit):
             return self._fail_constraint(lit.constraint, fail_rest, k)
@@ -531,8 +591,11 @@ class Solver:
             return self._fail_abducible(lit, rest, depth, k)
 
         if self.theory.is_defined(*key):
+            # a clause whose head `_may_unify` rejects would fail its match
+            # at once: it is neither renamed nor copied, and never reaches
+            # `_fail_conj`, as in `_consistency`
             resolutions = []
-            for clause in self.theory.clauses_for(*key):
+            for clause in self._clauses(lit):
                 renamed, newvars = standardize_apart(clause, self.counter)
                 self.local_ids.update(v.id for v in newvars)
                 fresh = self._fresh_locals([lit] + list(rest))
@@ -550,7 +613,7 @@ class Solver:
                    for a, b in zip(item.a, item.b)):
             self._restore(mark)
             return k  # structurally impossible match
-        gcaps = self._project_caps(caps) if all(
+        gcaps = self._project_caps(caps) if caps and all(
             self._is_local(v) for v in bound) else None
         if not all(self.store.post(c) for c in caps):
             # the match is unsatisfiable in the current store
@@ -640,14 +703,14 @@ class Solver:
         denial so that later additions to the hypothesis set re-establish
         it (through `_consistency`) until backtracking removes it; without
         that, an abducible buried under a defined predicate could revive a
-        refuted constraint.  A hypothesis whose first argument clashes with
-        `lit`'s is skipped as in `_consistency`."""
-        key = self._first_key(lit)
+        refuted constraint.  A hypothesis that `_may_unify` rejects is
+        skipped as in `_consistency`: no renaming, no `_fail_conj`."""
+        walk, indicator = self.subst.walk, lit.indicator
         items = [lit] + list(rest)
         conjs = []
         for h in self.delta:
-            if (h.lit.indicator != lit.indicator
-                    or _clash(key, self._first_key(h.lit))):
+            if (h.lit.indicator != indicator
+                    or not _may_unify(h.lit.args, lit.args, walk)):
                 continue
             fresh = self._fresh_locals(items)
             conjs.append([_Match(fresh[0].args,

@@ -122,10 +122,15 @@ def reschedule(theory, goal, reference: tuple, config=None,
     while True:
         try:
             stream = solve(theory, goal, initial=kept, config=config)
-            return min_changes(stream, tuple(reference),
-                               max_answers=max_answers,
-                               max_labellings=max_labellings,
-                               strategy=strategy)
+            try:
+                return min_changes(stream, tuple(reference),
+                                   max_answers=max_answers,
+                                   max_labellings=max_labellings,
+                                   strategy=strategy)
+            finally:
+                # a stream left open keeps its search thread parked
+                # until the cyclic collector finds it
+                stream.close()
         except InitialHypothesisInconsistentError as e:
             kept = [h for h in kept if h != e.hyp]
         except EmptyStreamError:

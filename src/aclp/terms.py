@@ -361,7 +361,7 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
                 return False
         elif isinstance(t1, Var) or isinstance(t2, Var):
             v, t = (t1, t2) if isinstance(t1, Var) else (t2, t1)
-            if subst.occurs(v, t):
+            if isinstance(t, Struct) and subst.occurs(v, t):
                 return False
             subst.bind(v, t)
             if bound is not None:

@@ -15,9 +15,8 @@ from aclp.engine import (DepthLimitExceededError,
                          InitialHypothesisInconsistentError, Solver, ic_order)
 from aclp.parser import format_literal
 from aclp.store import IntDomain
-from aclp.terms import (Atom, Clause, Int, IntegrityConstraint, Struct,
-                        UnknownPredicateError, UserLit, Var)
-from aclp.theory import AbductiveTheory
+from aclp.terms import (Atom, Int, IntegrityConstraint, Struct,
+                        Substitution, UnknownPredicateError, UserLit, Var)
 
 from oracles import (canonical_ids, random_naf_program_text,
                      random_theory_text)
@@ -381,49 +380,18 @@ def test_event_calculus_projection_answer():
     assert values == [1, 2, 3]
 
 
-# -- first-argument indexing ------------------------------------------------
+# -- pre-unification filter ---------------------------------------------------
 
-_K = Atom("k")
-
-
-def _prefix_lit(lit):
-    if isinstance(lit, UserLit) and lit.indicator not in {("true", 0),
-                                                          ("fail", 0)}:
-        return UserLit(lit.name, (_K,) + lit.args)
-    return lit
-
-
-def _prefix_theory(theory):
-    """The theory with the constant k before the arguments of every user
-    literal.  Every first argument is then k, so no pairing clashes and
-    the first-argument index skips nothing."""
-    def up(key):
-        return key[0], key[1] + 1
-
-    out = AbductiveTheory(
-        abducibles={up(key) for key in theory.abducibles},
-        naf_complements={up(a): up(p)
-                         for a, p in theory.naf_complements.items()})
-    for clause in theory.all_clauses():
-        out.add_clause(Clause(_prefix_lit(clause.head),
-                              tuple(map(_prefix_lit, clause.body))))
-    out.ics = [IntegrityConstraint(tuple(map(_prefix_lit, ic.body)))
-               for ic in theory.ics]
-    return out
-
-
-def _first_answers(theory, goal, strip=False):
+def _first_answers(theory, goal):
     """Δ with its variable ids, the rendered store and the first labelling
-    of the first three answers, then the type of any error raised; `strip`
-    drops each hypothesis's first argument."""
+    of the first three answers, then the type of any error raised."""
     out = []
     stream = solve(theory, goal)
     try:
         for ans in stream:
-            delta = [UserLit(l.name, l.args[1:]) if strip else l
-                     for l in ans.delta]
             sol = next(ans.labellings(), None)
-            out.append({"delta": repr(delta), "store": ans.store.render(),
+            out.append({"delta": repr(list(ans.delta)),
+                        "store": ans.store.render(),
                         "labelling": None if sol is None else
                         [[vid, repr(t)] for vid, t in sol.items()]})
             if len(out) == 3:
@@ -437,10 +405,14 @@ def _first_answers(theory, goal, strip=False):
 
 def _index_is_exact(theory, goal):
     """Whether the answers equal, up to a renumbering of variable ids, those
-    of the same programs with k prefixed, which no index can skip."""
-    return canonical_ids(_first_answers(theory, goal)) == canonical_ids(
-        _first_answers(_prefix_theory(theory), list(map(_prefix_lit, goal)),
-                       strip=True))
+    of the same program with `_may_unify` and `_Index.lookup` accepting
+    every candidate, which skips nothing."""
+    filtered = _first_answers(theory, goal)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_may_unify", lambda *args, **kwargs: True)
+        mp.setattr(engine._Index, "lookup", lambda self, key: self.entries)
+        unfiltered = _first_answers(theory, goal)
+    return canonical_ids(filtered) == canonical_ids(unfiltered)
 
 
 def _exactness_cases():
@@ -467,9 +439,9 @@ def _exactness_cases():
 
 
 def test_first_argument_index_is_exact():
-    # skipping a clashing pairing or Δ reuse must change nothing but the
-    # numbers of fresh variable ids: the same programs with k prefixed
-    # skip nothing
+    # skipping a clause, IC pairing, denial or Δ reuse that cannot unify
+    # must change nothing but the numbers of fresh variable ids: the same
+    # programs with every candidate accepted skip nothing
     mismatches = [name for name, theory, goal in _exactness_cases()
                   if not _index_is_exact(theory, goal)]
     assert mismatches == []
@@ -619,3 +591,116 @@ def test_variable_first_argument_tries_every_hypothesis(monkeypatch, decl,
     assert [len(ans.delta) for ans in out] == [3] * reused + [4]
     monkeypatch.undo()
     assert _index_is_exact(parse_theory(text), parse_goal("g(X)"))
+
+
+def _count_clause_tries(monkeypatch):
+    """Counts of clause renamings ("renamed") and of `_unify_args` calls
+    ("unified")."""
+    counts = Counter()
+    rename, unify_args = engine.standardize_apart, Solver._unify_args
+
+    def counting_rename(clause, counter):
+        counts["renamed"] += 1
+        return rename(clause, counter)
+
+    def counting_unify(self, args1, args2):
+        counts["unified"] += 1
+        return unify_args(self, args1, args2)
+
+    monkeypatch.setattr(engine, "standardize_apart", counting_rename)
+    monkeypatch.setattr(Solver, "_unify_args", counting_unify)
+    return counts
+
+
+_SECOND_ARGUMENT = """
+    abducible_predicate(a/1).
+    q(1, one).
+    q(1, two).
+    q(1, three).
+"""
+
+
+def test_goal_reduction_skips_a_head_clashing_in_its_second_argument(
+        monkeypatch):
+    # every head has the first argument 1: only the second tells them apart
+    counts = _count_clause_tries(monkeypatch)
+    assert [ans.delta for ans in answers(_SECOND_ARGUMENT, "q(1, three)")] \
+        == [()]
+    assert counts == {"renamed": 1, "unified": 1}
+    counts.clear()
+    assert answers(_SECOND_ARGUMENT, "q(1, four)") == []
+    assert counts == {}
+    monkeypatch.undo()
+    for goal in ("q(1, three)", "q(1, four)", "q(1, X)"):
+        assert _index_is_exact(parse_theory(_SECOND_ARGUMENT),
+                               parse_goal(goal))
+
+
+@pytest.mark.parametrize("ic, renamed, delta", [
+    ("ic :- a(X), q(X, four).", 0, ["a(1)"]),   # refuted, nothing renamed
+    ("ic :- a(X), q(X, two).", 1, None),         # q(1, two) proves the IC
+])
+def test_failure_derivation_skips_a_head_clashing_in_its_second_argument(
+        monkeypatch, ic, renamed, delta):
+    text = _SECOND_ARGUMENT + ic
+    counts = _count_renamings(monkeypatch)
+    tries = _count_clause_tries(monkeypatch)
+    out = answers(text, "a(1)")
+    assert [list(map(repr, ans.delta)) for ans in out] == (
+        [] if delta is None else [delta])
+    assert tries["renamed"] == renamed
+    assert counts["locals"] == renamed
+    monkeypatch.undo()
+    assert _index_is_exact(parse_theory(text), parse_goal("a(1)"))
+
+
+def test_hypotheses_clashing_inside_a_compound_are_not_reused(monkeypatch):
+    # a(T, on(b1)) has a variable first argument, but on/1 never unifies
+    # with clear/1
+    text = """
+        abducible_predicate(a/2).
+        g(T) :- a(1, clear(b2)), a(T, on(b1)).
+    """
+    tried, choices = _record_reuses(monkeypatch)
+    (ans,) = answers(text, "g(T)")
+    assert len(ans.delta) == 2
+    assert tried == [] and choices["reuse"] == 0
+    monkeypatch.undo()
+    assert _index_is_exact(parse_theory(text), parse_goal("g(T)"))
+
+
+def test_domain_variable_still_tries_every_clause(monkeypatch):
+    # X has a domain: it unifies with 2 and fails against one in the store,
+    # not in the filter
+    text = """
+        q(one, a).
+        q(2, b).
+        g(X, Y) :- X :: 1..3, q(X, Y).
+    """
+    counts = _count_clause_tries(monkeypatch)
+    (ans,) = answers(text, "g(X, Y)")
+    assert ans.delta == ()
+    # g's clause, then both clauses of q
+    assert counts == {"renamed": 3, "unified": 3}
+    monkeypatch.undo()
+    assert _index_is_exact(parse_theory(text), parse_goal("g(X, Y)"))
+
+
+def test_may_unify_walks_no_template_variable():
+    # a clause head's parser ids may equal ids bound in the solver, so a
+    # template's variables match anything, bound or not; a solver-side
+    # term is walked
+    subst = Substitution()
+    x = Var("X", 0)
+    subst.bind(x, Atom("a"))
+    b = (Atom("b"),)
+    assert engine._may_unify((x,), b, subst.walk, template=True)
+    assert not engine._may_unify((x,), b, subst.walk)
+    assert not engine._may_unify(b, (x,), subst.walk, template=True)
+    nested = (Struct("f", (x, Int(1))),)
+    assert engine._may_unify(nested, (Struct("f", (Atom("b"), Int(1))),),
+                             subst.walk, template=True)
+    assert not engine._may_unify(nested, (Struct("f", (Atom("b"), Int(2))),),
+                                 subst.walk, template=True)
+    assert not engine._may_unify(nested, (Struct("f", (Atom("b"),)),),
+                                 subst.walk, template=True)

@@ -1,7 +1,9 @@
 """Branch-and-bound minimization and minimal-change selection."""
 
+import gc
 import itertools
 import sys
+import threading
 
 import pytest
 
@@ -180,6 +182,31 @@ def test_reschedule_drops_hypotheses_broken_by_theory_change():
     assert best.changes == 2  # only the broken hypothesis moves
     kept = [l for l in best.delta if l.args[0] == Int(2)]
     assert kept == [UserLit("s", (Int(2), Int(3)))]
+
+
+def test_reschedule_leaves_no_search_thread_running():
+    # s(1, 2) is dropped when its install fails: the error re-raised from
+    # that stream sits in a reference cycle holding reschedule's frame, so
+    # only closing the last stream ends its search thread without the
+    # cyclic collector
+    text = """
+        abducible_predicate(s/2).
+        g :- s(1, T1), T1 :: 0..9, s(2, T2), T2 :: 0..9.
+        ic :- s(1, T), T #<= 4.
+    """
+    reference = lits(("s", (1, 2)), ("s", (2, 3)))
+    gc.disable()
+    try:
+        before = set(threading.enumerate())
+        # one answer of two is read, so the last stream stays open
+        best = reschedule(parse_theory(text), parse_goal("g"), reference,
+                          max_answers=1)
+        for t in set(threading.enumerate()) - before:
+            t.join(timeout=10)
+        assert threading.active_count() == len(before)
+    finally:
+        gc.enable()
+    assert best.changes == 2
 
 
 def test_reschedule_with_feasible_reference_changes_nothing():
