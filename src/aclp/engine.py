@@ -13,8 +13,12 @@ one list of denials and one constraint store:
   posting its negation (only when that constrains no IC-local variable) or
   assumed and the remainder failed; defined literals must fail under every
   clause; plain abducibles are closed-world against the current hypothesis
-  set (every later addition re-runs the check, which restores soundness);
-  an abducible standing for negation-as-failure of a defined predicate is
+  set, looked up by first argument.  A later hypothesis is resolved with
+  every IC body literal it may unify with, which refutes each IC instance
+  once, when the last of its hypotheses joins; so only an abducible
+  reached past a defined literal, a denial re-check or a NAF literal is
+  recorded as a denial, for every later addition to re-check.  An
+  abducible standing for negation-as-failure of a defined predicate is
   refuted by abductively proving the complement -- this is what forces
   action preconditions to be established in planning programs.
 
@@ -197,6 +201,46 @@ class _Index:
         return hit
 
 
+class _DeltaIndex:
+    """The positions of Δ's hypotheses by indicator and first-argument key.
+
+    A hypothesis is filed twice: under its indicator for every key, and
+    under its own key, None when its first argument was a variable (which
+    it may still be, so it matches every key).  A lookup lists positions
+    in insertion order.  `pop` unfiles the newest hypothesis, so that
+    truncating Δ from the end keeps the index exact."""
+
+    _ALL = object()   # the bucket that every hypothesis of an indicator joins
+
+    def __init__(self):
+        self._at = {}      # indicator -> key -> ascending positions
+        self._filed = []   # per position, the two buckets it joined
+
+    def add(self, indicator, key):
+        at = self._at.setdefault(indicator, {})
+        buckets = (at.setdefault(self._ALL, []), at.setdefault(key, []))
+        for b in buckets:
+            b.append(len(self._filed))
+        self._filed.append(buckets)
+
+    def pop(self):
+        for b in self._filed.pop():
+            b.pop()
+
+    def lookup(self, indicator, key):
+        """The positions of the hypotheses of `indicator` whose first
+        argument may unify with a term keyed `key`."""
+        at = self._at.get(indicator)
+        if at is None:
+            return ()
+        if key is None:
+            return at[self._ALL]
+        hit, free = at.get(key, ()), at.get(None)
+        if not free:
+            return hit
+        return sorted(hit + free) if hit else free
+
+
 _BUILTINS = {("true", 0), ("fail", 0)}
 _ANSWER = object()   # the continuation of a finished derivation
 
@@ -209,6 +253,7 @@ class Solver:
         self.subst = Substitution()
         self.store = ConstraintStore()
         self.delta: list[Hypothesis] = []
+        self._delta_index = _DeltaIndex()
         self.denials: list = []        # (abducible lit, residual conjunction)
         self.local_ids: set[int] = set()
         self.ordered_ics = ic_order(theory.ics, self.config.ic_order)
@@ -230,7 +275,9 @@ class Solver:
 
     def _restore(self, mark):
         smark, stmark, dlen, nlen = mark
-        del self.delta[dlen:]
+        while len(self.delta) > dlen:
+            self.delta.pop()
+            self._delta_index.pop()
         del self.denials[nlen:]
         self.store.restore(stmark)
         self.subst.undo_to(smark)
@@ -277,6 +324,19 @@ class Solver:
 
     def _first_key(self, lit):
         return _key(self.subst.walk(lit.args[0])) if lit.args else None
+
+    def _hypothesize(self, lit, provenance):
+        self._delta_index.add(lit.indicator, self._first_key(lit))
+        self.delta.append(Hypothesis(lit, provenance))
+
+    def _hypotheses(self, lit):
+        """The hypotheses in Δ, in insertion order, that may unify with
+        `lit`: looked up by first-argument key, then tested by
+        `_may_unify`."""
+        walk, delta = self.subst.walk, self.delta
+        return [h for h in (delta[i] for i in self._delta_index.lookup(
+                    lit.indicator, self._first_key(lit)))
+                if _may_unify(h.lit.args, lit.args, walk)]
 
     def _clauses(self, lit):
         """The clauses of `lit`'s predicate whose heads may unify with it,
@@ -362,7 +422,7 @@ class Solver:
                 raise InitialHypothesisInconsistentError(lit)
 
         self._choice(exhausted)
-        self.delta.append(Hypothesis(lit, "initial"))
+        self._hypothesize(lit, "initial")
         return self._consistency(lit, 0, installed)
 
     def _make_answer(self):
@@ -484,11 +544,9 @@ class Solver:
     # -- abduction -----------------------------------------------------------
 
     def _assume(self, lit: UserLit, depth, proceed):
-        # a hypothesis that `_may_unify` rejects could only fail to unify,
+        # a hypothesis that `_hypotheses` rejects could only fail to unify,
         # so it gets no choice point; an exact duplicate always passes
-        walk, indicator = self.subst.walk, lit.indicator
-        reusable = [h for h in self.delta if h.lit.indicator == indicator
-                    and _may_unify(h.lit.args, lit.args, walk)]
+        reusable = self._hypotheses(lit)
 
         # reuse existing hypotheses first, in insertion order
         def reuse(j):
@@ -505,7 +563,7 @@ class Solver:
             resolved = self._resolve_lit(lit)
             if any(self._resolve_lit(h.lit) == resolved for h in reusable):
                 return None
-            self.delta.append(Hypothesis(resolved, "goal"))
+            self._hypothesize(resolved, "goal")
             return self._consistency(resolved, depth, proceed)
 
         return reuse(0)
@@ -516,19 +574,28 @@ class Solver:
         """Continue with `k` once per way of refuting every IC resolving with
         `hyp` and re-establishing every denial it threatens.
 
+        `hyp` is resolved with every IC body literal it may unify with, and
+        each residual is an IC body, failed with `ic_body` set: its other
+        abducible literals are matched against the whole of Δ, `hyp`
+        included.  So every IC instance is refuted once, when the last of
+        its hypotheses joins Δ, and such a residual records no denial.
+        Denials come only from conjunctions that are no longer an IC body
+        (see `_fail_abducible`), and their re-checks are not one either.
+
         A pairing that `_may_unify` rejects cannot match, so its residual
         would fail at once: it is skipped before any renaming.  A skipped
         pairing draws no fresh ids and never reaches `_fail_conj`, so it
         neither sets `depth_limit_hit` nor ticks the time budget."""
-        conjs = []
+        residuals = []
         for ic, pos in self._ic_entries(hyp):
             renamed, newvars = standardize_ic(ic, self.counter)
             self.local_ids.update(v.id for v in newvars)
             residual = [_Match(renamed.body[pos].args, hyp.args)]
             residual.extend(l for j, l in enumerate(renamed.body) if j != pos)
-            conjs.append(residual)
+            residuals.append(residual)
         # denials were justified by "no hypothesis matches this literal";
         # the new hypothesis must leave each of them finitely failed
+        conjs = []
         walk, indicator = self.subst.walk, hyp.indicator
         for d_lit, d_rest in self.denials:
             if (d_lit.indicator != indicator
@@ -536,19 +603,26 @@ class Solver:
                 continue
             fresh = self._fresh_locals([d_lit] + list(d_rest))
             conjs.append([_Match(fresh[0].args, hyp.args)] + fresh[1:])
-        return self._refute_all(conjs, 0, depth, k)
+        rechecks = lambda: self._refute_all(conjs, 0, depth, False, k)
+        return self._refute_all(residuals, 0, depth, True,
+                                rechecks if conjs else k)
 
-    def _refute_all(self, conjs, i, depth, k):
+    def _refute_all(self, conjs, i, depth, ic_body, k):
         if i == len(conjs):
             return k
-        return self._fail_conj(conjs[i], depth,
-                               lambda: self._refute_all(conjs, i + 1, depth, k))
+        return self._fail_conj(
+            conjs[i], depth, ic_body,
+            lambda: self._refute_all(conjs, i + 1, depth, ic_body, k))
 
-    def _fail_conj(self, goals, depth, k):
+    def _fail_conj(self, goals, depth, ic_body, k):
         """Establish that the conjunction has no solution.
 
         Continues with `k` once per way of doing so; may post constraints
         on non-local variables as a side effect (undone on backtracking).
+        `ic_body` says that the conjunction is still what is left of one
+        IC body after `_consistency` resolved it with a new hypothesis: no
+        defined literal unfolded, no denial re-checked and no NAF literal
+        passed on the way.
         """
         if not self.store.consistent:
             return k
@@ -561,7 +635,7 @@ class Solver:
             return None
         lit = goals[0]
         rest = goals[1:]
-        fail_rest = lambda: self._fail_conj(rest, depth + 1, k)
+        fail_rest = lambda: self._fail_conj(rest, depth + 1, ic_body, k)
 
         if isinstance(lit, _Match):
             return self._fail_match(lit, fail_rest, k)
@@ -587,8 +661,8 @@ class Solver:
         if self.theory.is_abducible(*key):
             comp = self.theory.naf_complements.get(key)
             if comp is not None and self.theory.is_defined(*comp):
-                return self._fail_naf(lit, comp, fail_rest, depth, k)
-            return self._fail_abducible(lit, rest, depth, k)
+                return self._fail_naf(lit, comp, rest, depth, k)
+            return self._fail_abducible(lit, rest, depth, ic_body, k)
 
         if self.theory.is_defined(*key):
             # a clause whose head `_may_unify` rejects would fail its match
@@ -601,7 +675,7 @@ class Solver:
                 fresh = self._fresh_locals([lit] + list(rest))
                 resolutions.append([_Match(renamed.head.args, fresh[0].args)]
                                    + list(renamed.body) + fresh[1:])
-            return self._refute_all(resolutions, 0, depth + 1, k)
+            return self._refute_all(resolutions, 0, depth + 1, False, k)
 
         # unknown, non-abducible: no way to succeed, so the conjunction fails
         return k
@@ -688,36 +762,45 @@ class Solver:
         self._choice(assume_it)
         return k if self.store.post(negate(c)) else None
 
-    def _fail_naf(self, lit: UserLit, comp, fail_rest, depth, k):
+    def _fail_naf(self, lit: UserLit, comp, rest, depth, k):
         """not_p with a defined complement: refute by proving p, or fail the
-        remainder of the conjunction (not_p may hold)."""
+        remainder of the conjunction (not_p may hold), which is then no
+        longer taken for an IC body."""
+        fail_rest = lambda: self._fail_conj(rest, depth + 1, False, k)
         args = tuple(self.subst.resolve(a) for a in lit.args)
         if any(self._is_local(v) for a in args for v in term_vars(a)):
             return fail_rest
         self._choice(fail_rest)
         return self._prove([UserLit(comp[0], args)], depth + 1, k)
 
-    def _fail_abducible(self, lit: UserLit, rest, depth, k):
+    def _fail_abducible(self, lit: UserLit, rest, depth, ic_body, k):
         """Closed world at check time: every current hypothesis match must
-        fail together with the rest.  The assumption is recorded as a
-        denial so that later additions to the hypothesis set re-establish
-        it (through `_consistency`) until backtracking removes it; without
-        that, an abducible buried under a defined predicate could revive a
-        refuted constraint.  A hypothesis that `_may_unify` rejects is
-        skipped as in `_consistency`: no renaming, no `_fail_conj`."""
-        walk, indicator = self.subst.walk, lit.indicator
+        fail together with the rest.
+
+        Unless the conjunction is still an IC body (`ic_body`), the
+        assumption is recorded as a denial, so that later additions to the
+        hypothesis set re-establish it (through `_consistency`) until
+        backtracking removes it; without that, an abducible buried under a
+        defined predicate could revive a refuted constraint.  In an IC
+        body there is nothing to record: a later hypothesis that matches
+        `lit` is resolved with this very body literal by `_consistency`,
+        whose closed-world matches of the body's other abducibles refute
+        every instance that the denial's re-check would, so the re-check
+        would refute each of them a second time.
+
+        The candidates are looked up in Δ by first argument and tested by
+        `_may_unify`, as in `_assume`: a rejected one gets no renaming and
+        no `_fail_conj`."""
         items = [lit] + list(rest)
         conjs = []
-        for h in self.delta:
-            if (h.lit.indicator != indicator
-                    or not _may_unify(h.lit.args, lit.args, walk)):
-                continue
+        for h in self._hypotheses(lit):
             fresh = self._fresh_locals(items)
             conjs.append([_Match(fresh[0].args,
                                  self._resolve_lit(h.lit).args)]
                          + fresh[1:])
-        self.denials.append((self._resolve_lit(lit), tuple(rest)))
-        return self._refute_all(conjs, 0, depth + 1, k)
+        if not ic_body:
+            self.denials.append((self._resolve_lit(lit), tuple(rest)))
+        return self._refute_all(conjs, 0, depth + 1, ic_body, k)
 
 
 def solve(theory: AbductiveTheory, goal, initial=(), config: Config = None):
@@ -754,7 +837,13 @@ def solve(theory: AbductiveTheory, goal, initial=(), config: Config = None):
                 continue
             finished = True
             if kind == "raise":
-                raise value
+                try:
+                    raise value
+                finally:
+                    # the traceback holds this frame: keeping the exception
+                    # here would tie it, and every caller frame it passed
+                    # through, into a cycle that only the collector frees
+                    value = None
             return
     finally:
         if not finished:

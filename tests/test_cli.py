@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from aclp.cli import main
+from aclp.corpus import generate_jobshop
 
 SIMPLE = """\
 abducible_predicate(a/1).
@@ -280,3 +281,13 @@ def test_disjunction_wider_than_the_recursion_limit(tmp_path, capsys):
     assert c.count("#\\/") == n - 1
     code, out, _ = run(capsys, "solve", str(p), "--goal", "g", "--label")
     assert code == 0 and out == "Δ = {a(1)}\n"
+
+
+def test_a_job_shop_stream_repeats_no_answer(tmp_path, capsys):
+    inst = generate_jobshop(4, 1)
+    p = tmp_path / "jobshop.aclp"
+    p.write_text(inst.program)
+    code, out, _ = run(capsys, "solve", str(p), "--goal", inst.goal_text,
+                       "--all", "4", "--json")
+    docs = [json.dumps(d, sort_keys=True) for d in json.loads(out)["answers"]]
+    assert code == 0 and len(docs) == len(set(docs)) == 4

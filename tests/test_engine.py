@@ -1,9 +1,12 @@
 """The abductive proof procedure: goal reduction, hypothesis reuse,
 consistency checking and answer extraction."""
 
+import gc
+import itertools
 import random
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -182,6 +185,65 @@ def test_rollback_after_failed_branch_is_exact():
     assert solver.store.domains == {} and solver.store.constraints == []
 
 
+_THREE_IN_A_ROW = """
+    abducible_predicate(a/1).
+    ic :- a(X), a(Y), a(Z), X #< Y, Y #< Z.
+    h(X, Y, Z) :- a(X), b(Y, Z).
+    b(Y, Z) :- a(Y), a(Z).
+"""
+
+
+@pytest.mark.parametrize("form", ["a({}), a({}), a({})", "h({}, {}, {})"])
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
+def test_a_hypothesis_completes_an_ic_from_any_body_position(form, order):
+    # whichever of a(1), a(2), a(3) is assumed last completes the instance
+    # X=1, Y=2, Z=3, and resolving the IC at its own body position must
+    # refute it: no denial is left behind to do so
+    assert answers(_THREE_IN_A_ROW, form.format(*order)) == []
+    assert answers(_THREE_IN_A_ROW, form.format(2, 1, 2)) != []
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
+def test_an_ic_body_unfolded_through_a_clause_is_refuted_by_its_denials(
+        order):
+    # a(Y) and a(Z) sit under b/2, so no IC resolution reaches them: the
+    # denials recorded when b's clause was failed must do it
+    text = _THREE_IN_A_ROW.replace("a(Y), a(Z), X", "b(Y, Z), X")
+    assert answers(text, "a({}), a({}), a({})".format(*order)) == []
+    assert answers(text, "a(2), a(1), a(2)") != []
+
+
+def test_each_job_shop_ic_instance_is_refuted_once(monkeypatch):
+    # the first answer of a 10-task job shop completes each of its 21
+    # resource-pair ICs once; re-checking the older task's denial as well
+    # would refute every one of them twice
+    inst = generate_jobshop(10, 1)
+    theory = parse_theory(inst.program)
+    calls = Counter()
+    fail_constraint = Solver._fail_constraint
+
+    def counting(self, *args):
+        calls["fail_constraint"] += 1
+        return fail_constraint(self, *args)
+
+    monkeypatch.setattr(Solver, "_fail_constraint", counting)
+    stream = Solver(theory).solve(parse_goal(inst.goal_text))
+    next(stream)
+    stream.close()
+    assert len(theory.ics) == 21
+    assert calls["fail_constraint"] == 21
+
+
+def test_each_job_shop_residual_is_posted_once():
+    inst = generate_jobshop(10, 1)
+    stream = Solver(parse_theory(inst.program)).solve(
+        parse_goal(inst.goal_text))
+    ans = next(stream)
+    stream.close()
+    residuals = [repr(c) for c in ans.store.active_constraints()]
+    assert len(residuals) == len(set(residuals)) == 17
+
+
 # -- negation as failure ----------------------------------------------------
 
 def test_naf_goal_abduces_the_complement():
@@ -232,6 +294,32 @@ def test_non_abducible_initial_hypothesis_rejected():
     theory = parse_theory("p(1).")
     with pytest.raises(InitialHypothesisInconsistentError):
         list(solve(theory, parse_goal("p(1)"), initial=(UserLit("b", ()),)))
+
+
+def test_a_caught_install_error_frees_the_callers_locals():
+    # with the cyclic collector off, a caller that catches the error of an
+    # inconsistent initial hypothesis keeps none of its locals alive once
+    # it has returned: the error it caught is in no reference cycle
+    theory = parse_theory("abducible_predicate(s/1). g :- s(X). ic :- s(1).")
+
+    class Local:
+        pass
+
+    def catch():
+        local = Local()
+        try:
+            list(solve(theory, parse_goal("g"),
+                       initial=(UserLit("s", (Int(1),)),)))
+        except InitialHypothesisInconsistentError:
+            pass
+        return weakref.ref(local)
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert catch()() is None
+    finally:
+        gc.enable()
 
 
 # -- limits -----------------------------------------------------------------
@@ -405,12 +493,15 @@ def _first_answers(theory, goal):
 
 def _index_is_exact(theory, goal):
     """Whether the answers equal, up to a renumbering of variable ids, those
-    of the same program with `_may_unify` and `_Index.lookup` accepting
-    every candidate, which skips nothing."""
+    of the same program with `_may_unify`, `_Index.lookup` and
+    `_DeltaIndex.lookup` accepting every candidate, which skips nothing."""
     filtered = _first_answers(theory, goal)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_may_unify", lambda *args, **kwargs: True)
         mp.setattr(engine._Index, "lookup", lambda self, key: self.entries)
+        lookup = engine._DeltaIndex.lookup
+        mp.setattr(engine._DeltaIndex, "lookup",
+                   lambda self, indicator, key: lookup(self, indicator, None))
         unfiltered = _first_answers(theory, goal)
     return canonical_ids(filtered) == canonical_ids(unfiltered)
 
@@ -591,6 +682,41 @@ def test_variable_first_argument_tries_every_hypothesis(monkeypatch, decl,
     assert [len(ans.delta) for ans in out] == [3] * reused + [4]
     monkeypatch.undo()
     assert _index_is_exact(parse_theory(text), parse_goal("g(X)"))
+
+
+def test_a_variable_first_argument_hypothesis_matches_every_key(
+        monkeypatch):
+    # a(V, q) is filed under no key: a lookup by 2 tries it between the
+    # two hypotheses keyed 2, in insertion order
+    text = """
+        abducible_predicate(a/2).
+        g(W) :- a(2, p), a(V, q), a(2, r), a(2, W).
+    """
+    tried, choices = _record_reuses(monkeypatch)
+    out = answers(text, "g(W)")
+    assert [type(t) for t in tried] == [Int, Var, Int]
+    assert choices["reuse"] == 3
+    assert [len(ans.delta) for ans in out] == [3, 3, 3, 4]
+    monkeypatch.undo()
+    assert _index_is_exact(parse_theory(text), parse_goal("g(W)"))
+
+
+def test_delta_index_keeps_insertion_order_and_pops_exactly():
+    index, a = engine._DeltaIndex(), ("a", 2)
+    for key in (2, None, 3, 2):
+        index.add(a, key)
+    assert list(index.lookup(a, 2)) == [0, 1, 3]
+    assert list(index.lookup(a, 3)) == [1, 2]
+    assert list(index.lookup(a, 4)) == [1]
+    assert list(index.lookup(a, None)) == [0, 1, 2, 3]
+    assert list(index.lookup(("b", 1), 2)) == []
+    index.pop()
+    index.pop()
+    assert list(index.lookup(a, 2)) == [0, 1]
+    assert list(index.lookup(a, 3)) == [1]
+    index.add(a, 3)
+    assert list(index.lookup(a, 3)) == [1, 2]
+    assert list(index.lookup(a, None)) == [0, 1, 2]
 
 
 def _count_clause_tries(monkeypatch):
