@@ -13,14 +13,27 @@ one list of denials and one constraint store:
   posting its negation (only when that constrains no IC-local variable) or
   assumed and the remainder failed; defined literals must fail under every
   clause; plain abducibles are closed-world against the current hypothesis
-  set, looked up by first argument.  A later hypothesis is resolved with
-  every IC body literal it may unify with, which refutes each IC instance
-  once, when the last of its hypotheses joins; so only an abducible
-  reached past a defined literal, a denial re-check or a NAF literal is
-  recorded as a denial, for every later addition to re-check.  An
-  abducible standing for negation-as-failure of a defined predicate is
-  refuted by abductively proving the complement -- this is what forces
-  action preconditions to be established in planning programs.
+  set.  A later hypothesis is resolved with every IC body literal it may
+  unify with, which refutes each IC instance once, when the last of its
+  hypotheses joins; so only an abducible reached past a defined literal,
+  a denial re-check or a NAF literal is recorded as a denial, for every
+  later addition to re-check.  An abducible standing for negation-as-
+  failure of a defined predicate is refuted by abductively proving the
+  complement -- this is what forces action preconditions to be
+  established in planning programs.
+
+Every choice of candidates for a unification is one `_Index` lookup: the
+clauses tried for a goal, the IC body literals a new hypothesis is
+resolved with, the hypotheses of Δ that a goal may reuse or a
+closed-world literal is matched against, and the denials that a new
+hypothesis re-checks.  The index files each entry by its literal's
+indicator and first-argument key (WAM clause indexing), and tests each
+candidate by `_may_unify` before returning it.  A variable first
+argument matches every key, since it unifies with anything.  A lookup
+keeps insertion order, so indexing changes no answer and no answer
+order.  Clause heads and IC body literals are filed as written; Δ and
+the denials are filed through the substitution and truncated on
+backtracking.
 
 Both derivations are driven by one loop in
 `Solver.solve` over an explicit stack of choice points (the state-based
@@ -51,6 +64,7 @@ from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     UnknownPredicateError, map_literal,
                     map_term, rename_conjunction, standardize_apart,
                     standardize_ic, term_vars, unify_terms)
+from .parser import format_literal
 from .theory import AbductiveTheory
 
 
@@ -142,11 +156,6 @@ def _key(t):
     return t
 
 
-def _template_key(lit):
-    """The key of a template literal's first argument, not walked."""
-    return _key(lit.args[0]) if lit.args else None
-
-
 def _may_unify(pattern, args, walk, template=False) -> bool:
     """Whether the argument tuples `pattern` and `args` may unify: False
     only when two rigid subterms differ in functor, arity or constant
@@ -182,63 +191,69 @@ def _may_unify(pattern, args, walk, template=False) -> bool:
 
 
 class _Index:
-    """`entries` looked up by first-argument key, `keys[i]` being entry
-    i's key; a lookup keeps the entries' order."""
+    """Entries filed by indicator and first-argument key, each beside the
+    literal it is filed under (WAM clause indexing).
 
-    def __init__(self, entries, keys):
-        self.entries, self._keys = entries, keys
-        self._by_key = {}
+    An entry whose literal's first argument is a variable matches every
+    key, since the variable unifies with anything.  A lookup lists the
+    entries in insertion order, the order in which goal reduction tries
+    clauses and reuses hypotheses and the consistency derivation resolves
+    ICs and re-checks denials, so indexing changes no answer and no order.
+    A `template` index files literals as written: clause heads and IC
+    body literals, whose parser ids may collide with ids bound here.  Any
+    other index files them walked through the substitution and is
+    trailed: `truncate` drops the newest entries, so Δ and the denials
+    follow backtracking."""
 
-    def lookup(self, key):
-        """The entries whose first argument may unify with a term keyed
-        `key`."""
-        if key is None:
-            return self.entries
-        hit = self._by_key.get(key)
-        if hit is None:
-            hit = self._by_key[key] = [e for e, k in zip(self.entries, self._keys)
-                                       if k is None or k == key]
-        return hit
+    _ALL = object()   # the bucket that every entry of an indicator joins
 
+    def __init__(self, walk, template=False):
+        self._walk, self._template = walk, template
+        self._at = {}      # indicator -> key -> (position, literal, value)s
+        self._filed = []   # per position: its entry and the two buckets
 
-class _DeltaIndex:
-    """The positions of Δ's hypotheses by indicator and first-argument key.
+    def __len__(self):
+        return len(self._filed)
 
-    A hypothesis is filed twice: under its indicator for every key, and
-    under its own key, None when its first argument was a variable (which
-    it may still be, so it matches every key).  A lookup lists positions
-    in insertion order.  `pop` unfiles the newest hypothesis, so that
-    truncating Δ from the end keeps the index exact."""
+    def __iter__(self):
+        return (entry[2] for entry, _, _ in self._filed)
 
-    _ALL = object()   # the bucket that every hypothesis of an indicator joins
-
-    def __init__(self):
-        self._at = {}      # indicator -> key -> ascending positions
-        self._filed = []   # per position, the two buckets it joined
-
-    def add(self, indicator, key):
-        at = self._at.setdefault(indicator, {})
+    def add(self, lit, value):
+        key = None
+        if lit.args:
+            first = lit.args[0]
+            key = _key(first if self._template else self._walk(first))
+        at = self._at.setdefault(lit.indicator, {})
+        entry = (len(self._filed), lit, value)
         buckets = (at.setdefault(self._ALL, []), at.setdefault(key, []))
         for b in buckets:
-            b.append(len(self._filed))
-        self._filed.append(buckets)
+            b.append(entry)
+        self._filed.append((entry,) + buckets)
 
-    def pop(self):
-        for b in self._filed.pop():
-            b.pop()
+    def truncate(self, n):
+        while len(self._filed) > n:
+            _, every, keyed = self._filed.pop()
+            every.pop()
+            keyed.pop()
 
-    def lookup(self, indicator, key):
-        """The positions of the hypotheses of `indicator` whose first
-        argument may unify with a term keyed `key`."""
-        at = self._at.get(indicator)
+    def lookup(self, lit):
+        """The values, in insertion order, whose literal may unify with
+        `lit`: looked up by first-argument key, then tested by
+        `_may_unify`."""
+        at = self._at.get(lit.indicator)
         if at is None:
-            return ()
+            return []
+        walk, args = self._walk, lit.args
+        key = _key(walk(args[0])) if args else None
         if key is None:
-            return at[self._ALL]
-        hit, free = at.get(key, ()), at.get(None)
-        if not free:
-            return hit
-        return sorted(hit + free) if hit else free
+            hits = at[self._ALL]
+        else:
+            hits, free = at.get(key, ()), at.get(None)
+            if free:
+                hits = sorted(hits + free) if hits else free
+        template = self._template
+        return [value for _, filed, value in hits
+                if _may_unify(filed.args, args, walk, template)]
 
 
 _BUILTINS = {("true", 0), ("fail", 0)}
@@ -252,13 +267,18 @@ class Solver:
         self.counter = VarCounter(start=1_000_000)
         self.subst = Substitution()
         self.store = ConstraintStore()
-        self.delta: list[Hypothesis] = []
-        self._delta_index = _DeltaIndex()
-        self.denials: list = []        # (abducible lit, residual conjunction)
+        walk = self.subst.walk
+        self.delta = _Index(walk)      # Hypothesis values
+        self.denials = _Index(walk)    # (abducible lit, *residual conjunction)
         self.local_ids: set[int] = set()
-        self.ordered_ics = ic_order(theory.ics, self.config.ic_order)
-        self._ic_index: dict = {}      # indicator -> _Index of (ic, pos)
-        self._clause_index: dict = {}  # indicator -> _Index of clauses
+        self._clauses = _Index(walk, template=True)
+        for clause in theory.all_clauses():
+            self._clauses.add(clause.head, clause)
+        self._ic_literals = _Index(walk, template=True)   # (ic, pos) values
+        for ic in ic_order(theory.ics, self.config.ic_order):
+            for pos, lit in enumerate(ic.body):
+                if isinstance(lit, UserLit):
+                    self._ic_literals.add(lit, (ic, pos))
         self._atom_domains: dict = {}  # DomainDecl.atoms -> AtomDomain
         self.depth_limit_hit = False
         self.budget_hit = False
@@ -275,10 +295,8 @@ class Solver:
 
     def _restore(self, mark):
         smark, stmark, dlen, nlen = mark
-        while len(self.delta) > dlen:
-            self.delta.pop()
-            self._delta_index.pop()
-        del self.denials[nlen:]
+        self.delta.truncate(dlen)
+        self.denials.truncate(nlen)
         self.store.restore(stmark)
         self.subst.undo_to(smark)
 
@@ -322,50 +340,6 @@ class Solver:
                 if isinstance(i, _Match) else map_literal(i, rename)
                 for i in items]
 
-    def _first_key(self, lit):
-        return _key(self.subst.walk(lit.args[0])) if lit.args else None
-
-    def _hypothesize(self, lit, provenance):
-        self._delta_index.add(lit.indicator, self._first_key(lit))
-        self.delta.append(Hypothesis(lit, provenance))
-
-    def _hypotheses(self, lit):
-        """The hypotheses in Δ, in insertion order, that may unify with
-        `lit`: looked up by first-argument key, then tested by
-        `_may_unify`."""
-        walk, delta = self.subst.walk, self.delta
-        return [h for h in (delta[i] for i in self._delta_index.lookup(
-                    lit.indicator, self._first_key(lit)))
-                if _may_unify(h.lit.args, lit.args, walk)]
-
-    def _clauses(self, lit):
-        """The clauses of `lit`'s predicate whose heads may unify with it,
-        in source order."""
-        index = self._clause_index.get(lit.indicator)
-        if index is None:
-            clauses = self.theory.clauses_for(*lit.indicator)
-            index = self._clause_index[lit.indicator] = _Index(
-                clauses, [_template_key(c.head) for c in clauses])
-        walk = self.subst.walk
-        return [c for c in index.lookup(self._first_key(lit))
-                if _may_unify(c.head.args, lit.args, walk, template=True)]
-
-    def _ic_entries(self, hyp):
-        """The (ic, pos) pairs, in `ordered_ics` x `pos` order, whose body
-        literal at pos may unify with the hypothesis `hyp`."""
-        index = self._ic_index.get(hyp.indicator)
-        if index is None:
-            entries = [(ic, pos) for ic in self.ordered_ics
-                       for pos, b in enumerate(ic.body)
-                       if isinstance(b, UserLit)
-                       and b.indicator == hyp.indicator]
-            index = self._ic_index[hyp.indicator] = _Index(
-                entries, [_template_key(ic.body[pos]) for ic, pos in entries])
-        walk = self.subst.walk
-        return [(ic, pos) for ic, pos in index.lookup(self._first_key(hyp))
-                if _may_unify(ic.body[pos].args, hyp.args, walk,
-                              template=True)]
-
     def _resolve_lit(self, lit):
         return self.subst.resolve_literal(lit)
 
@@ -408,6 +382,9 @@ class Solver:
         if i == len(initial):
             return self._prove(goal, 0, k)
         lit = initial[i]
+        if not isinstance(lit, UserLit):
+            raise AclpError(
+                f"initial hypothesis {format_literal(lit)} is not an atom")
         if not self.theory.is_abducible(lit.name, lit.arity):
             raise InitialHypothesisInconsistentError(lit)
         produced = False
@@ -422,7 +399,7 @@ class Solver:
                 raise InitialHypothesisInconsistentError(lit)
 
         self._choice(exhausted)
-        self._hypothesize(lit, "initial")
+        self.delta.add(lit, Hypothesis(lit, "initial"))
         return self._consistency(lit, 0, installed)
 
     def _make_answer(self):
@@ -491,7 +468,7 @@ class Solver:
             return self._assume(lit, depth, proceed)
 
         if self.theory.is_defined(*key):
-            clauses = self._clauses(lit)
+            clauses = self._clauses.lookup(lit)
             if not clauses:
                 return None
             return self._try_clause(clauses, 0, lit, rest, depth, k)
@@ -500,7 +477,7 @@ class Solver:
 
     def _try_clause(self, clauses, i, lit, rest, depth, k):
         """Resolve `lit` with clause i, leaving the later ones as a choice.
-        `clauses` holds only those that `_clauses` let through: a clause
+        `clauses` holds only those that the index let through: a clause
         whose head cannot unify is neither renamed nor left as a choice."""
         if i + 1 < len(clauses):
             self._choice(lambda: self._try_clause(clauses, i + 1, lit, rest,
@@ -544,9 +521,9 @@ class Solver:
     # -- abduction -----------------------------------------------------------
 
     def _assume(self, lit: UserLit, depth, proceed):
-        # a hypothesis that `_hypotheses` rejects could only fail to unify,
+        # a hypothesis that the Δ lookup rejects could only fail to unify,
         # so it gets no choice point; an exact duplicate always passes
-        reusable = self._hypotheses(lit)
+        reusable = self.delta.lookup(lit)
 
         # reuse existing hypotheses first, in insertion order
         def reuse(j):
@@ -563,7 +540,7 @@ class Solver:
             resolved = self._resolve_lit(lit)
             if any(self._resolve_lit(h.lit) == resolved for h in reusable):
                 return None
-            self._hypothesize(resolved, "goal")
+            self.delta.add(resolved, Hypothesis(resolved, "goal"))
             return self._consistency(resolved, depth, proceed)
 
         return reuse(0)
@@ -587,7 +564,7 @@ class Solver:
         pairing draws no fresh ids and never reaches `_fail_conj`, so it
         neither sets `depth_limit_hit` nor ticks the time budget."""
         residuals = []
-        for ic, pos in self._ic_entries(hyp):
+        for ic, pos in self._ic_literals.lookup(hyp):
             renamed, newvars = standardize_ic(ic, self.counter)
             self.local_ids.update(v.id for v in newvars)
             residual = [_Match(renamed.body[pos].args, hyp.args)]
@@ -596,12 +573,8 @@ class Solver:
         # denials were justified by "no hypothesis matches this literal";
         # the new hypothesis must leave each of them finitely failed
         conjs = []
-        walk, indicator = self.subst.walk, hyp.indicator
-        for d_lit, d_rest in self.denials:
-            if (d_lit.indicator != indicator
-                    or not _may_unify(d_lit.args, hyp.args, walk)):
-                continue
-            fresh = self._fresh_locals([d_lit] + list(d_rest))
+        for denial in self.denials.lookup(hyp):
+            fresh = self._fresh_locals(denial)
             conjs.append([_Match(fresh[0].args, hyp.args)] + fresh[1:])
         rechecks = lambda: self._refute_all(conjs, 0, depth, False, k)
         return self._refute_all(residuals, 0, depth, True,
@@ -669,7 +642,7 @@ class Solver:
             # at once: it is neither renamed nor copied, and never reaches
             # `_fail_conj`, as in `_consistency`
             resolutions = []
-            for clause in self._clauses(lit):
+            for clause in self._clauses.lookup(lit):
                 renamed, newvars = standardize_apart(clause, self.counter)
                 self.local_ids.update(v.id for v in newvars)
                 fresh = self._fresh_locals([lit] + list(rest))
@@ -793,13 +766,14 @@ class Solver:
         no `_fail_conj`."""
         items = [lit] + list(rest)
         conjs = []
-        for h in self._hypotheses(lit):
+        for h in self.delta.lookup(lit):
             fresh = self._fresh_locals(items)
             conjs.append([_Match(fresh[0].args,
                                  self._resolve_lit(h.lit).args)]
                          + fresh[1:])
         if not ic_body:
-            self.denials.append((self._resolve_lit(lit), tuple(rest)))
+            d_lit = self._resolve_lit(lit)
+            self.denials.add(d_lit, (d_lit,) + tuple(rest))
         return self._refute_all(conjs, 0, depth + 1, ic_body, k)
 
 

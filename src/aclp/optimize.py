@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .engine import Answer, Config, InitialHypothesisInconsistentError, solve
-from .store import Lt
+from .store import AtomDomain, Lt
 from .terms import AclpError, Atom, Int, Struct, UserLit, Var
 
 
@@ -45,6 +45,8 @@ def minimize(answer: Answer, cost: Var, strategy: str = "first_fail"):
     vars_ = answer.store_vars()
     if not any(v.id == cost.id for v in vars_):
         raise UnknownVariableError(cost.name)
+    if isinstance(store.domains[cost.id], AtomDomain):
+        raise AclpError(f"cannot minimize {cost.name}: its domain holds atoms")
     best = None
     while True:
         sol = next(store.label(vars_, strategy), None)

@@ -220,7 +220,7 @@ class _Parser:
             if term.functor in ("+", "-"):
                 self.fail("arithmetic term is not a valid goal")
             return UserLit(term.functor, term.args)
-        self.fail(f"expected a goal, found {term!r}")
+        self.fail(f"expected a goal, found {format_term(term)}")
 
     def parse_domain_decl(self, var):
         if self.at_op("["):
@@ -336,7 +336,7 @@ def parse_theory(text: str) -> AbductiveTheory:
                 theory.abducibles.add((spec.args[0].name, spec.args[1].value))
             else:
                 errors.append(_error(text, 0,
-                                     f"malformed abducible declaration {spec!r}",
+                                     f"malformed abducible declaration {format_term(spec)}",
                                      "validation"))
         else:
             theory.add_clause(item)

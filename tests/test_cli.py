@@ -178,6 +178,30 @@ def test_inconsistent_initial_hypotheses_exit_2(simple, tmp_path, capsys):
     assert code == 2 and "INITIAL_HYPOTHESIS_INCONSISTENT" in err
 
 
+@pytest.mark.parametrize("option", ["--initial", "--min-changes"])
+@pytest.mark.parametrize("fact", ["X #> 2", "Y :: 1..3", "not(a(1))"])
+def test_a_hypothesis_fact_that_is_no_atom_exits_2(tmp_path, capsys, option,
+                                                   fact):
+    prog = tmp_path / "h.aclp"
+    prog.write_text("abducible_predicate(a/1).\nh :- a(X), X #> 2.\n")
+    facts = tmp_path / "bad.facts"
+    facts.write_text(f"{fact}.\n")
+    code, out, err = run(capsys, "solve", str(prog), "--goal", "h",
+                         option, str(facts))
+    assert code == 2 and out == ""
+    assert err == f"initial hypothesis {fact} is not an atom\n"
+
+
+def test_minimizing_an_atom_variable_exits_2(tmp_path, capsys):
+    prog = tmp_path / "atoms.aclp"
+    prog.write_text("abducible_predicate(a/1).\n"
+                    "g(X) :- X :: [red, blue], a(X).\n")
+    code, out, err = run(capsys, "solve", str(prog), "--goal", "g(X)",
+                         "--minimize", "X")
+    assert code == 2 and out == ""
+    assert err == "cannot minimize X: its domain holds atoms\n"
+
+
 def test_min_changes_mode(tmp_path, capsys):
     prog = tmp_path / "js.aclp"
     prog.write_text(JOBSHOP2)

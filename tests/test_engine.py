@@ -180,7 +180,7 @@ def test_rollback_after_failed_branch_is_exact():
     theory = parse_theory("abducible_predicate(a/0).\ng :- a.\nic :- a.")
     solver = Solver(theory)
     assert list(solver.solve(parse_goal("g"))) == []
-    assert solver.delta == [] and solver.denials == []
+    assert list(solver.delta) == [] and list(solver.denials) == []
     assert solver.store.consistent
     assert solver.store.domains == {} and solver.store.constraints == []
 
@@ -491,17 +491,22 @@ def _first_answers(theory, goal):
     return out
 
 
+def _every_entry(index, lit):
+    """The values of every entry that `index` files under `lit`'s
+    indicator, in insertion order."""
+    at = index._at.get(lit.indicator)
+    return [value for _, _, value in at[index._ALL]] if at else []
+
+
 def _index_is_exact(theory, goal):
     """Whether the answers equal, up to a renumbering of variable ids, those
-    of the same program with `_may_unify`, `_Index.lookup` and
-    `_DeltaIndex.lookup` accepting every candidate, which skips nothing."""
+    of the same program with `_may_unify` accepting every candidate and
+    `_Index.lookup` returning every entry of the indicator, which skips
+    nothing."""
     filtered = _first_answers(theory, goal)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_may_unify", lambda *args, **kwargs: True)
-        mp.setattr(engine._Index, "lookup", lambda self, key: self.entries)
-        lookup = engine._DeltaIndex.lookup
-        mp.setattr(engine._DeltaIndex, "lookup",
-                   lambda self, indicator, key: lookup(self, indicator, None))
+        mp.setattr(engine._Index, "lookup", _every_entry)
         unfiltered = _first_answers(theory, goal)
     return canonical_ids(filtered) == canonical_ids(unfiltered)
 
@@ -701,22 +706,48 @@ def test_a_variable_first_argument_hypothesis_matches_every_key(
     assert _index_is_exact(parse_theory(text), parse_goal("g(W)"))
 
 
-def test_delta_index_keeps_insertion_order_and_pops_exactly():
-    index, a = engine._DeltaIndex(), ("a", 2)
-    for key in (2, None, 3, 2):
-        index.add(a, key)
-    assert list(index.lookup(a, 2)) == [0, 1, 3]
-    assert list(index.lookup(a, 3)) == [1, 2]
-    assert list(index.lookup(a, 4)) == [1]
-    assert list(index.lookup(a, None)) == [0, 1, 2, 3]
-    assert list(index.lookup(("b", 1), 2)) == []
-    index.pop()
-    index.pop()
-    assert list(index.lookup(a, 2)) == [0, 1]
-    assert list(index.lookup(a, 3)) == [1]
-    index.add(a, 3)
-    assert list(index.lookup(a, 3)) == [1, 2]
-    assert list(index.lookup(a, None)) == [0, 1, 2]
+def test_the_index_keeps_insertion_order_and_truncates_exactly():
+    # a variable first argument, filed or bound later, matches every key;
+    # a lookup tests the other arguments too
+    subst = Substitution()
+    index = engine._Index(subst.walk)
+    v, w = Var("V", 1), Var("W", 2)
+
+    def a(first, second=Atom("p")):
+        return UserLit("a", (first, second))
+
+    for i, first in enumerate((Int(2), v, Int(3), Int(2))):
+        index.add(a(first), i)
+    subst.bind(v, Int(3))   # keyless, so found by key 2 and then rejected
+    assert len(index) == 4 and list(index) == [0, 1, 2, 3]
+    assert index.lookup(a(Int(2))) == [0, 3]
+    assert index.lookup(a(Int(3))) == [1, 2]
+    assert index.lookup(a(Int(4))) == []
+    assert index.lookup(a(w)) == [0, 1, 2, 3]
+    assert index.lookup(a(w, Atom("q"))) == []
+    assert index.lookup(UserLit("a", (Int(2),))) == []
+    subst.undo_to(0)
+    assert index.lookup(a(Int(2))) == [0, 1, 3]
+    assert index.lookup(a(Int(4))) == [1]
+    index.truncate(2)
+    assert list(index) == [0, 1]
+    assert index.lookup(a(Int(2))) == [0, 1]
+    assert index.lookup(a(Int(3))) == [1]
+    index.add(a(Int(3)), 4)
+    assert index.lookup(a(Int(3))) == [1, 4]
+    assert index.lookup(a(w)) == [0, 1, 4]
+
+
+def test_a_template_index_files_and_tests_literals_as_written():
+    # a clause head's parser ids may equal ids bound in the solver, so a
+    # template is neither keyed nor tested through the substitution
+    subst = Substitution()
+    x = Var("X", 0)
+    subst.bind(x, Atom("b"))
+    index = engine._Index(subst.walk, template=True)
+    index.add(UserLit("q", (x,)), "head")
+    assert index.lookup(UserLit("q", (Atom("a"),))) == ["head"]
+    assert index.lookup(UserLit("q", (x,))) == ["head"]
 
 
 def _count_clause_tries(monkeypatch):

@@ -7,9 +7,9 @@ import threading
 
 import pytest
 
-from aclp import (Config, EmptyStreamError, UnknownVariableError, change_count,
-                  compile_naf, find_cost_var, min_changes, minimize,
-                  parse_goal, parse_theory, reschedule, solve)
+from aclp import (AclpError, Config, EmptyStreamError, UnknownVariableError,
+                  change_count, compile_naf, find_cost_var, min_changes,
+                  minimize, parse_goal, parse_theory, reschedule, solve)
 from aclp.optimize import label_preferences
 from aclp.terms import Atom, Int, Struct, UserLit
 
@@ -65,6 +65,13 @@ def test_minimize_unknown_variable():
                        "g(X)")
     with pytest.raises(UnknownVariableError):
         find_cost_var(ans, "Z")
+
+
+def test_minimize_an_atom_variable_is_an_error():
+    ans = first_answer("abducible_predicate(a/1).\n"
+                       "g(X) :- X :: [red, blue], a(X).", "g(X)")
+    with pytest.raises(AclpError, match="cannot minimize X"):
+        minimize(ans, find_cost_var(ans, "X"))
 
 
 # -- change counting --------------------------------------------------------

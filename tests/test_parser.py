@@ -102,6 +102,13 @@ def test_multiple_errors_are_collected():
     assert len(e.value.errors) >= 2
 
 
+def test_errors_name_variables_by_source_name():
+    with pytest.raises(ParseFailure) as e:
+        parse_theory("abducible_predicate(X).\np :- X.\n")
+    assert [err.message for err in e.value.errors] == [
+        "malformed abducible declaration X", "expected a goal, found X"]
+
+
 def test_ic_without_abducible_is_a_validation_error():
     with pytest.raises(ParseFailure) as e:
         parse_theory("p(1).\nic :- p(X).")
