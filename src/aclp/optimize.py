@@ -7,9 +7,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .engine import Answer, Config, InitialHypothesisInconsistentError, solve
+from .engine import (Answer, Config, InitialHypothesisInconsistentError, _key,
+                     solve)
+from .parser import format_literal
 from .store import AtomDomain, Lt
-from .terms import AclpError, Atom, Int, Struct, UserLit, Var
+from .terms import AclpError, Atom, Int, Struct, UserLit, Var, is_ground
 
 
 class UnknownVariableError(AclpError):
@@ -86,22 +88,145 @@ def _collect_preferences(new, ref, out) -> bool:
     return True
 
 
-def label_preferences(answer: Answer, reference: tuple) -> dict:
-    """Variable id -> value to try first, so labelling an answer stays as
-    close as the store allows to a reference hypothesis set."""
-    prefs = {}
-    unused = list(reference)
-    for lit in answer.delta:
-        for ref in unused:
-            if not (isinstance(ref, UserLit) and ref.indicator == lit.indicator):
+def _binding(args, ref_args):
+    """The (var id, value) pairs under which the argument tuple `args`
+    equals the ground `ref_args`, or None when no valuation makes them
+    equal: two rigid subterms differ, or a repeated variable would need
+    two different values."""
+    out = {}
+    pairs = list(zip(args, ref_args))
+    while pairs:
+        t, r = pairs.pop()
+        if isinstance(t, Var):
+            if out.setdefault(t.id, r) != r:
+                return None
+        elif isinstance(t, Struct):
+            if (not isinstance(r, Struct) or t.functor != r.functor
+                    or len(t.args) != len(r.args)):
+                return None
+            pairs.extend(zip(t.args, r.args))
+        elif t != r:
+            return None
+    return tuple(out.items())
+
+
+class _Reference:
+    """A reference hypothesis set, indexed once for a whole minimal-change
+    call: each hypothesis literal filed, in reference order, by indicator
+    and first-argument key (as the engine's index files them), and each
+    distinct literal given a slot that holds its multiplicity.
+
+    Raises AclpError naming the first hypothesis literal that is not
+    ground: a change counted against a variable means nothing.  An entry
+    that is no hypothesis literal (a constraint, say) counts towards the
+    size and matches nothing."""
+
+    _ALL = object()   # the bucket that every literal of an indicator joins
+
+    def __init__(self, reference):
+        self.size = len(reference)
+        self.slot = {}     # distinct literal -> its slot
+        self.counts = []   # per slot: the literal's multiplicity
+        self._at = {}      # indicator -> key -> (position, literal, slot)s
+        for pos, lit in enumerate(reference):
+            if not isinstance(lit, UserLit):
                 continue
-            trial = {}
-            if all(_collect_preferences(a, b, trial)
-                   for a, b in zip(lit.args, ref.args)):
-                prefs.update(trial)
-                unused.remove(ref)
-                break
-    return prefs
+            if not all(map(is_ground, lit.args)):
+                raise AclpError(f"reference hypothesis "
+                                f"{format_literal(lit)} is not ground")
+            slot = self.slot.setdefault(lit, len(self.counts))
+            if slot == len(self.counts):    # a literal not met before
+                self.counts.append(0)
+            self.counts[slot] += 1
+            at = self._at.setdefault(lit.indicator, {})
+            key = _key(lit.args[0]) if lit.args else None
+            entry = (pos, lit, slot)
+            at.setdefault(self._ALL, []).append(entry)
+            if key is not None:
+                at.setdefault(key, []).append(entry)
+
+    def candidates(self, lit):
+        """The entries, in reference order, whose literal may equal `lit`
+        grounded: those of its indicator, narrowed by its first
+        argument's key unless that argument is a variable."""
+        at = self._at.get(lit.indicator)
+        if at is None:
+            return ()
+        key = _key(lit.args[0]) if lit.args else None
+        return at[self._ALL] if key is None else at.get(key, ())
+
+    def preferences(self, delta) -> dict:
+        """Variable id -> value to try first: each hypothesis of `delta`
+        takes its values from the first unused reference literal, in
+        reference order, whose ground parts agree with it."""
+        prefs, used = {}, set()
+        for lit in delta:
+            for pos, ref, _ in self.candidates(lit):
+                if pos in used:
+                    continue
+                trial = {}
+                if all(_collect_preferences(a, b, trial)
+                       for a, b in zip(lit.args, ref.args)):
+                    prefs.update(trial)
+                    used.add(pos)
+                    break
+        return prefs
+
+    def scorer(self, delta):
+        """`delta` compiled against the reference: a function from a
+        valuation to `change_count` of `delta` grounded by it.
+
+        A ground hypothesis equal to a reference literal matches it
+        whatever the valuation.  Each other hypothesis keeps the distinct
+        reference literals it can ground to, each with the values its
+        variables must take.  Its grounding equals one of them at most,
+        so the first whose values a valuation gives is the one it
+        matches.  A valuation then costs a few lookups and equality tests
+        per open hypothesis.  A variable the valuation does not name
+        stays a variable, as `Answer.ground_delta` leaves it, and so
+        matches no reference literal."""
+        fixed = {}         # slot -> ground hypotheses equal to its literal
+        open_ = []         # per open hypothesis: its (slot, pairs) options
+        for lit in delta:
+            slot = self.slot.get(lit)
+            if slot is not None:
+                fixed[slot] = fixed.get(slot, 0) + 1
+                continue
+            options, seen = [], set()
+            for _, ref, slot in self.candidates(lit):
+                if slot not in seen:
+                    seen.add(slot)
+                    pairs = _binding(lit.args, ref.args)
+                    if pairs is not None:
+                        options.append((slot, pairs))
+            if options:
+                open_.append(options)
+        counts = self.counts
+        base = sum(min(n, counts[s]) for s, n in fixed.items())
+        total = len(delta) + self.size
+
+        def changes(sol) -> int:
+            # |Δ| + |R| - 2 * Σ min(hits, multiplicity) over reference slots
+            matched, hits = base, dict(fixed)
+            for options in open_:
+                for slot, pairs in options:
+                    if all(sol.get(v) == x for v, x in pairs):
+                        n = hits.get(slot, 0)
+                        if n < counts[slot]:
+                            matched += 1
+                        hits[slot] = n + 1
+                        break
+            return total - 2 * matched
+        return changes
+
+
+def label_preferences(answer: Answer, reference) -> dict:
+    """Variable id -> value to try first, so labelling an answer stays as
+    close as the store allows to a reference hypothesis set (a tuple of
+    literals, or one already indexed)."""
+    if not isinstance(reference, _Reference):
+        reference = _Reference(reference)
+    return reference.preferences(answer.delta)
 
 
 def reschedule(theory, goal, reference: tuple, config=None,
@@ -116,7 +241,8 @@ def reschedule(theory, goal, reference: tuple, config=None,
     though each member passes on its own; when the solve produces no
     answer (or exhausts its time budget), the most recently added
     hypothesis is dropped and the solve retried, down to a fresh solve in
-    the worst case.
+    the worst case.  Raises AclpError when a reference literal is not
+    ground.
     """
     if config is None:
         config = Config(time_budget=10.0)
@@ -148,23 +274,30 @@ def min_changes(answers: Iterable[Answer], reference: tuple,
 
     Scans up to max_answers answers and max_labellings groundings of each;
     ties broken by first found, so the result is deterministic.
+
+    The reference is indexed once per call, and each answer's Δ compiled
+    against it once (`_Reference.scorer`).  A labelling is then scored by
+    a few lookups per open hypothesis, with nothing grounded or hashed;
+    the score equals `change_count` of the grounded Δ, so the same
+    labellings are read in the same order and the same one wins.  Only a
+    labelling that beats the best so far is grounded.  Raises AclpError
+    when a reference literal is not ground.
     """
+    ref = _Reference(reference)
     best = None
     for i, answer in enumerate(answers):
         if i >= max_answers:
             break
-        prefs = label_preferences(answer, tuple(reference))
+        prefs = label_preferences(answer, ref)
+        changes = ref.scorer(answer.delta)
         for j, sol in enumerate(answer.labellings(strategy, prefer=prefs)):
             if j >= max_labellings:
                 break
-            ground = answer.ground_delta(sol)
-            n = change_count(ground, tuple(reference))
+            n = changes(sol)
             if best is None or n < best.changes:
-                best = GroundAnswer(ground, sol, changes=n)
-            if n == 0:
-                return best
-        if best is not None and best.changes == 0:
-            break
+                best = GroundAnswer(answer.ground_delta(sol), sol, changes=n)
+                if n == 0:
+                    return best
     if best is None:
         raise EmptyStreamError()
     return best

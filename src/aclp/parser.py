@@ -220,7 +220,7 @@ class _Parser:
             if term.functor in ("+", "-"):
                 self.fail("arithmetic term is not a valid goal")
             return UserLit(term.functor, term.args)
-        self.fail(f"expected a goal, found {format_term(term)}")
+        self.fail(f"expected a goal, found {_message_term(term)}")
 
     def parse_domain_decl(self, var):
         if self.at_op("["):
@@ -336,7 +336,7 @@ def parse_theory(text: str) -> AbductiveTheory:
                 theory.abducibles.add((spec.args[0].name, spec.args[1].value))
             else:
                 errors.append(_error(text, 0,
-                                     f"malformed abducible declaration {format_term(spec)}",
+                                     f"malformed abducible declaration {_message_term(spec)}",
                                      "validation"))
         else:
             theory.add_clause(item)
@@ -388,6 +388,14 @@ def _format_leaf(t) -> str:
 
 def format_term(t) -> str:
     return spell(t, _format_leaf, ("+", "-"))
+
+
+def _message_term(t) -> str:
+    """`t` as written in the source, for an error message: an anonymous
+    variable is `_`, where `format_term` names it by id to keep it apart
+    from the others."""
+    return spell(t, lambda u: "_" if isinstance(u, Var) and u.name == "_"
+                 else _format_leaf(u), ("+", "-"))
 
 
 def _format_comparison(c) -> str:

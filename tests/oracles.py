@@ -2,7 +2,9 @@
 
 Nothing here calls into the solver's search: constraints are evaluated by
 direct substitution, stores by brute-force enumeration and programs by a
-naive ground bottom-up evaluator.  Disagreement between these oracles and
+naive ground bottom-up evaluator.  The one exception is
+`slow_min_changes`, which reads the labellings of the answers it is
+handed.  Disagreement between these oracles and
 the engine is always an engine bug (or an oracle bug), never both.
 """
 
@@ -12,6 +14,8 @@ import itertools
 import random
 import re
 
+from aclp.optimize import (EmptyStreamError, GroundAnswer,
+                           _collect_preferences, change_count)
 from aclp.store import (And, AtomDomain, Eq, Ge, Gt, IntDomain, Le, Lt, Neq,
                         Or, TermEq, TermNeq, split_offset)
 from aclp.terms import (Atom, ConstraintLit, DomainDecl, Int, Struct, UserLit,
@@ -466,3 +470,49 @@ def canonical_ids(record):
         return x
 
     return walk(record)
+
+
+# ---------------------------------------------------------------------------
+# Minimal-change selection, the slow way
+# ---------------------------------------------------------------------------
+
+def slow_label_preferences(delta, reference) -> dict:
+    """Preferred values by a linear scan of the unused reference literals
+    for each hypothesis, taking the first whose ground parts agree."""
+    prefs = {}
+    unused = list(reference)
+    for lit in delta:
+        for ref in unused:
+            if not (isinstance(ref, UserLit) and ref.indicator == lit.indicator):
+                continue
+            trial = {}
+            if all(_collect_preferences(a, b, trial)
+                   for a, b in zip(lit.args, ref.args)):
+                prefs.update(trial)
+                unused.remove(ref)
+                break
+    return prefs
+
+
+def slow_min_changes(answers, reference, max_answers=64, max_labellings=256,
+                     strategy="first_fail"):
+    """`optimize.min_changes` by its definition: every labelling read is
+    grounded and counted with `change_count`; the first with the fewest
+    changes wins."""
+    best = None
+    for i, answer in enumerate(answers):
+        if i >= max_answers:
+            break
+        prefs = slow_label_preferences(answer.delta, reference)
+        for j, sol in enumerate(answer.labellings(strategy, prefer=prefs)):
+            if j >= max_labellings:
+                break
+            ground = answer.ground_delta(sol)
+            n = change_count(ground, tuple(reference))
+            if best is None or n < best.changes:
+                best = GroundAnswer(ground, sol, changes=n)
+            if n == 0:
+                return best
+    if best is None:
+        raise EmptyStreamError()
+    return best

@@ -213,6 +213,18 @@ def test_min_changes_mode(tmp_path, capsys):
     assert "changes = 0" in out
 
 
+def test_a_non_ground_min_changes_reference_exits_2(tmp_path, capsys):
+    prog = tmp_path / "t.aclp"
+    prog.write_text("abducible_predicate(start/2).\n"
+                    "g :- S :: 0..5, start(a, S).\n")
+    ref = tmp_path / "ng.facts"
+    ref.write_text("start(a, X).\n")
+    code, out, err = run(capsys, "solve", str(prog), "--goal", "g",
+                         "--min-changes", str(ref))
+    assert code == 2 and out == ""
+    assert err == "reference hypothesis start(a,X) is not ground\n"
+
+
 def test_ordering_an_atom_variable_exits_2(tmp_path, capsys):
     p = tmp_path / "atoms.aclp"
     p.write_text("abducible_predicate(p/1).\n"

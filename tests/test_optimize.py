@@ -6,12 +6,18 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aclp import (AclpError, Config, EmptyStreamError, UnknownVariableError,
                   change_count, compile_naf, find_cost_var, min_changes,
-                  minimize, parse_goal, parse_theory, reschedule, solve)
-from aclp.optimize import label_preferences
-from aclp.terms import Atom, Int, Struct, UserLit
+                  minimize, optimize, parse_goal, parse_theory, reschedule,
+                  solve)
+from aclp.corpus import reschedule_case
+from aclp.engine import Answer
+from aclp.optimize import _Reference, label_preferences
+from aclp.terms import Atom, Int, Struct, UserLit, Var, is_ground
+
+from oracles import slow_label_preferences, slow_min_changes
 
 
 def first_answer(text, goal):
@@ -154,6 +160,131 @@ def test_min_changes_is_deterministic():
             for _ in range(2)]
     assert runs[0].delta == runs[1].delta
     assert runs[0].changes == runs[1].changes == 0
+
+
+def test_min_changes_grounds_only_the_labellings_that_improve(monkeypatch):
+    theory = parse_theory("abducible_predicate(s/2).\n"
+                          "g :- T :: 0..5, s(1, T), s(2, T).")
+    # T is preferred at 1, which leaves 3 changes; T = 4 leaves 1
+    reference = lits(("s", (2, 1)), ("s", (1, 4)), ("s", (2, 4)))
+    grounded = []
+    ground_delta = Answer.ground_delta
+
+    def counted(answer, sol):
+        ground = ground_delta(answer, sol)
+        grounded.append(change_count(ground, reference))
+        return ground
+
+    def refused(*args):
+        raise AssertionError("change_count called while scoring")
+
+    monkeypatch.setattr(Answer, "ground_delta", counted)
+    monkeypatch.setattr(optimize, "change_count", refused)
+    best = min_changes(solve(theory, parse_goal("g")), reference)
+    # all six labellings are read, but only two are grounded
+    assert grounded == [3, 1]
+    assert best.changes == 1
+    assert best.delta == lits(("s", (1, 4)), ("s", (2, 4)))
+
+
+def test_a_non_ground_reference_is_an_error():
+    theory = parse_theory("abducible_predicate(start/2).\n"
+                          "g :- S :: 0..5, start(a, S).")
+    reference = (UserLit("start", (Atom("a"), Int(1))),
+                 UserLit("start", (Atom("a"), Var("X", 0))))
+    message = r"reference hypothesis start\(a,X\) is not ground"
+    with pytest.raises(AclpError, match=message):
+        min_changes(solve(theory, parse_goal("g")), reference)
+    with pytest.raises(AclpError, match=message):
+        reschedule(theory, parse_goal("g"), reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+def test_min_changes_matches_the_slow_reference_on_rescheduling(
+        seed, monkeypatch):
+    _, changed, old = reschedule_case(10, seed)
+    theory = parse_theory(changed.program)
+    goal = parse_goal(changed.goal_text)
+
+    def calls(select):
+        # every min_changes call of one reschedule, with its result
+        out = []
+
+        def recorded(*args, **kwargs):
+            try:
+                ga = select(*args, **kwargs)
+            except EmptyStreamError:
+                out.append(None)
+                raise
+            out.append((ga.delta, ga.valuation, ga.changes))
+            return ga
+        monkeypatch.setattr(optimize, "min_changes", recorded)
+        reschedule(theory, goal, old, config=Config())
+        return out
+
+    fast = calls(min_changes)
+    assert fast and fast == calls(slow_min_changes)
+
+
+# -- scoring against the reference -----------------------------------------
+
+_VALUES = st.one_of(st.integers(0, 1).map(Int), st.just(Atom("a")))
+_VARS = st.integers(0, 3).map(lambda i: Var(f"V{i}", i))
+
+
+def _terms(leaves):
+    return st.recursive(leaves, lambda args: st.builds(
+        lambda f, xs: Struct(f, tuple(xs)), st.sampled_from("fg"),
+        st.lists(args, min_size=1, max_size=2)), max_leaves=4)
+
+
+def _literals(terms):
+    return st.sampled_from([("p", 1), ("p", 2), ("q", 2), ("r", 0)]).flatmap(
+        lambda pa: st.tuples(*[terms] * pa[1]).map(
+            lambda args: UserLit(pa[0], args)))
+
+
+@st.composite
+def _scoring_cases(draw):
+    """(Δ, a partial valuation, a ground reference): Δ literals may repeat,
+    be ground or repeat a variable; the reference holds ground instances
+    of Δ under that valuation and under another, repeated or not, and
+    other ground literals."""
+    delta = tuple(draw(st.lists(_literals(_terms(_VALUES | _VARS)),
+                                max_size=5)))
+    sol, other_sol = (draw(st.dictionaries(st.integers(0, 3), _VALUES,
+                                           min_size=2)) for _ in range(2))
+    instances = [lit for v in (sol, other_sol)
+                 for lit in Answer(delta, (), None).ground_delta(v)
+                 if all(map(is_ground, lit.args))]
+    picked = draw(st.lists(st.sampled_from(instances), max_size=4)) \
+        if instances else []
+    other = draw(st.lists(_literals(_terms(_VALUES)), max_size=3))
+    return delta, sol, tuple(draw(st.permutations(picked + other)))
+
+
+_T = Var("T", 0)
+
+
+@given(_scoring_cases())
+@example((  # T would need two values to ground to the first literal
+    (UserLit("p", (_T, Struct("f", (_T,)))),), {0: Int(1)},
+    (UserLit("p", (Int(1), Struct("f", (Int(2),)))),
+     UserLit("p", (Int(2), Struct("f", (Int(2),)))))))
+@settings(max_examples=400, deadline=None)
+def test_the_compiled_score_is_the_change_count(case):
+    delta, sol, reference = case
+    ground = Answer(delta, (), None).ground_delta(sol)
+    assert (_Reference(reference).scorer(delta)(sol)
+            == change_count(ground, reference))
+
+
+@given(_scoring_cases())
+@settings(max_examples=200, deadline=None)
+def test_indexed_preferences_match_the_linear_scan(case):
+    delta, _, reference = case
+    assert (label_preferences(Answer(delta, (), None), reference)
+            == slow_label_preferences(delta, reference))
 
 
 # -- label preferences ------------------------------------------------------

@@ -109,6 +109,15 @@ def test_errors_name_variables_by_source_name():
         "malformed abducible declaration X", "expected a goal, found X"]
 
 
+def test_errors_print_an_anonymous_variable_as_written():
+    with pytest.raises(ParseFailure) as e:
+        parse_theory("abducible_predicate(_).\np :- _.\n"
+                     "abducible_predicate(f(_, _)).\n")
+    assert [err.message for err in e.value.errors] == [
+        "malformed abducible declaration _", "expected a goal, found _",
+        "malformed abducible declaration f(_,_)"]
+
+
 def test_ic_without_abducible_is_a_validation_error():
     with pytest.raises(ParseFailure) as e:
         parse_theory("p(1).\nic :- p(X).")
