@@ -61,9 +61,9 @@ from .store import (DEFAULT_HI, DEFAULT_LO, And, AtomDomain, ConstraintStore,
                     negate)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
-                    UnknownPredicateError, map_literal,
-                    map_term, rename_conjunction, standardize_apart,
-                    standardize_ic, term_vars, unify_terms)
+                    UnknownPredicateError, map_literal, rename_conjunction,
+                    standardize_apart, standardize_ic, term_vars,
+                    unify_terms)
 from .parser import format_literal
 from .theory import AbductiveTheory
 
@@ -111,7 +111,10 @@ class Answer:
 
     def labellings(self, strategy: str = "input_order", rng=None,
                    prefer: dict = None):
-        """Ground valuations of every store variable, as id->term dicts."""
+        """Ground valuations of every store variable, as id->term dicts.
+        The answer's store is left as it was found once the enumeration
+        ends or is closed or dropped, so every call enumerates the same
+        valuations."""
         yield from self.store.label(self.store_vars(), strategy, rng, prefer)
 
     def ground_delta(self, valuation: dict):
@@ -315,13 +318,17 @@ class Solver:
                 and not self.store.has_domain(t))
 
     def _fresh_locals(self, items):
-        """Copies of `items` under the substitution, with unbound local
-        variables renamed apart.
+        """Copies of the literals `items` under the substitution, with
+        unbound local variables renamed apart.
 
         Each alternative of a refutation (clause resolution, hypothesis
         match) quantifies the conjunction's local existentials on its own;
         sharing the variables would let the bindings made while refuting
         one alternative leak into the next and make its check vacuous.
+
+        `items` holds no `_Match`: one is only ever the first item of a
+        conjunction, and `_fail_conj` consumes it before any copy of the
+        rest is made.
         """
         mapping: dict = {}
 
@@ -335,10 +342,7 @@ class Solver:
                 mapping[t.id] = nv
             return mapping[t.id]
 
-        return [_Match(tuple(map_term(a, rename) for a in i.a),
-                       tuple(map_term(b, rename) for b in i.b))
-                if isinstance(i, _Match) else map_literal(i, rename)
-                for i in items]
+        return [map_literal(i, rename) for i in items]
 
     def _resolve_lit(self, lit):
         return self.subst.resolve_literal(lit)
@@ -421,9 +425,9 @@ class Solver:
         for vid in [v for v in st.domains if v not in keep]:
             del st.domains[vid]
         answer = Answer(delta, prov, st)
-        # emit only stores with at least one ground valuation
-        probe = st.clone()
-        if next(probe.label(answer.store_vars(), "first_fail"), None) is None:
+        # emit only stores with at least one ground valuation; `label`
+        # leaves the store as it found it
+        if next(st.label(answer.store_vars(), "first_fail"), None) is None:
             return None
         return answer
 

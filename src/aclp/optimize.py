@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
-from .engine import (Answer, Config, InitialHypothesisInconsistentError, _key,
-                     solve)
+from .engine import (Answer, Config, InitialHypothesisInconsistentError,
+                     _Index, solve)
 from .parser import format_literal
 from .store import AtomDomain, Lt
 from .terms import AclpError, Atom, Int, Struct, UserLit, Var, is_ground
@@ -112,22 +113,22 @@ def _binding(args, ref_args):
 
 class _Reference:
     """A reference hypothesis set, indexed once for a whole minimal-change
-    call: each hypothesis literal filed, in reference order, by indicator
-    and first-argument key (as the engine's index files them), and each
-    distinct literal given a slot that holds its multiplicity.
+    call: each hypothesis literal filed, in reference order, in the
+    engine's first-argument index, and each distinct literal given a slot
+    that holds its multiplicity.
 
     Raises AclpError naming the first hypothesis literal that is not
     ground: a change counted against a variable means nothing.  An entry
     that is no hypothesis literal (a constraint, say) counts towards the
     size and matches nothing."""
 
-    _ALL = object()   # the bucket that every literal of an indicator joins
-
     def __init__(self, reference):
         self.size = len(reference)
         self.slot = {}     # distinct literal -> its slot
         self.counts = []   # per slot: the literal's multiplicity
-        self._at = {}      # indicator -> key -> (position, literal, slot)s
+        # (position, literal, slot) per hypothesis literal; a lookup drops
+        # only those that `_binding` and `_collect_preferences` reject
+        self.index = _Index(lambda t: t, template=True)
         for pos, lit in enumerate(reference):
             if not isinstance(lit, UserLit):
                 continue
@@ -138,22 +139,7 @@ class _Reference:
             if slot == len(self.counts):    # a literal not met before
                 self.counts.append(0)
             self.counts[slot] += 1
-            at = self._at.setdefault(lit.indicator, {})
-            key = _key(lit.args[0]) if lit.args else None
-            entry = (pos, lit, slot)
-            at.setdefault(self._ALL, []).append(entry)
-            if key is not None:
-                at.setdefault(key, []).append(entry)
-
-    def candidates(self, lit):
-        """The entries, in reference order, whose literal may equal `lit`
-        grounded: those of its indicator, narrowed by its first
-        argument's key unless that argument is a variable."""
-        at = self._at.get(lit.indicator)
-        if at is None:
-            return ()
-        key = _key(lit.args[0]) if lit.args else None
-        return at[self._ALL] if key is None else at.get(key, ())
+            self.index.add(lit, (pos, lit, slot))
 
     def preferences(self, delta) -> dict:
         """Variable id -> value to try first: each hypothesis of `delta`
@@ -161,7 +147,7 @@ class _Reference:
         reference order, whose ground parts agree with it."""
         prefs, used = {}, set()
         for lit in delta:
-            for pos, ref, _ in self.candidates(lit):
+            for pos, ref, _ in self.index.lookup(lit):
                 if pos in used:
                     continue
                 trial = {}
@@ -193,7 +179,7 @@ class _Reference:
                 fixed[slot] = fixed.get(slot, 0) + 1
                 continue
             options, seen = [], set()
-            for _, ref, slot in self.candidates(lit):
+            for _, ref, slot in self.index.lookup(lit):
                 if slot not in seen:
                     seen.add(slot)
                     pairs = _binding(lit.args, ref.args)
@@ -285,14 +271,11 @@ def min_changes(answers: Iterable[Answer], reference: tuple,
     """
     ref = _Reference(reference)
     best = None
-    for i, answer in enumerate(answers):
-        if i >= max_answers:
-            break
+    for answer in islice(answers, max_answers):
         prefs = label_preferences(answer, ref)
         changes = ref.scorer(answer.delta)
-        for j, sol in enumerate(answer.labellings(strategy, prefer=prefs)):
-            if j >= max_labellings:
-                break
+        for sol in islice(answer.labellings(strategy, prefer=prefs),
+                          max_labellings):
             n = changes(sol)
             if best is None or n < best.changes:
                 best = GroundAnswer(answer.ground_delta(sol), sol, changes=n)

@@ -7,6 +7,15 @@ docs/syntax.md for the grammar.
 
 Facts of the form abducible_predicate(name/arity) populate the abducible
 set; rules with head `ic` become integrity constraints in source order.
+
+`tokenize` turns the text into `(key, text, offset)` tuples in one regex
+pass.  An operator's key is its own text and any other token's is its
+kind (`int`, `var`, `name`), so one comparison of the key tests both.
+The parser holds one cursor, an index into that list, which only `take`
+moves: `peek` gives the next key, `take` its text, and `expect` takes a
+token of the given key or fails with a message at the token's offset.
+Nested terms and constraint brackets are parsed with explicit stacks, so
+nesting depth is not bounded by recursion.
 """
 
 from __future__ import annotations
@@ -46,31 +55,27 @@ _TOKEN_RE = re.compile(r"""
   | (?P<int>\d+)
   | (?P<var>[A-Z_]\w*)
   | (?P<name>[a-z]\w*)
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 # comparison operator -> constraint class; TermNeq has no surface syntax
 _COMPARISONS = {cls.op: cls for cls in (Neq, Eq, Lt, Le, Gt, Ge, TermEq)}
 
 
-@dataclass
-class Token:
-    kind: str  # op / int / var / name / eof
-    text: str
-    offset: int
-
-
-def tokenize(text: str):
+def tokenize(text: str) -> list:
+    """`(key, text, offset)` tuples, ending with `("eof", "", len(text))`.
+    An operator's key is its text; any other token's is its kind: `int`,
+    `var` or `name`."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseFailure([_error(text, pos, f"illegal character {text[pos]!r}")])
-        pos = m.end()
-        if m.lastgroup == "ws":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
             continue
-        tokens.append(Token(m.lastgroup, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
+        if kind == "bad":
+            raise ParseFailure([_error(text, m.start(),
+                                       f"illegal character {m.group()!r}")])
+        tokens.append((m.group() if kind == "op" else kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -81,6 +86,8 @@ def _error(text: str, offset: int, message: str, category: str = "syntax"):
 
 
 class _Parser:
+    """Parses a token list, read through the cursor `i` (module docstring)."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
@@ -88,28 +95,32 @@ class _Parser:
         self.varmap: dict[str, Var] = {}
         self.var_ix = 0
 
-    # -- token helpers -------------------------------------------------------
+    # -- token cursor --------------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        """The key of the next token."""
+        return self.tokens[self.i][0]
 
-    def advance(self) -> Token:
-        t = self.tok
-        if t.kind != "eof":
+    def take(self) -> str:
+        """The text of the next token, consumed unless it is the end."""
+        key, text, _ = self.tokens[self.i]
+        if key != "eof":
             self.i += 1
-        return t
+        return text
 
-    def at_op(self, *ops) -> bool:
-        return self.tok.kind == "op" and self.tok.text in ops
+    def expect(self, key: str, message: str = None) -> str:
+        """`take` a token keyed `key`, or fail with `message` (by default
+        naming the key expected and the token found)."""
+        if self.tokens[self.i][0] != key:
+            self.fail(message or f"expected {key!r}, found {self.found()}")
+        return self.take()
 
-    def expect_op(self, op: str) -> Token:
-        if not self.at_op(op):
-            self.fail(f"expected {op!r}, found {self.tok.text or 'end of input'!r}")
-        return self.advance()
+    def found(self) -> str:
+        """The next token's text, quoted, for an error message."""
+        return repr(self.tokens[self.i][1] or "end of input")
 
     def fail(self, message: str):
-        raise ParseFailure([_error(self.text, self.tok.offset, message)])
+        raise ParseFailure([_error(self.text, self.tokens[self.i][2], message)])
 
     def reset_vars(self):
         # per-clause scope: deterministic ids make round-trips structural
@@ -133,45 +144,36 @@ class _Parser:
         structs still open, so nesting is not bounded by recursion."""
         stack = []                      # (functor, arguments so far)
         while True:
-            t = self.tok
-            if t.kind == "var":
-                self.advance()
-                term = self.getvar(t.text)
-            elif t.kind == "name":
-                self.advance()
-                if self.at_op("("):
-                    self.advance()
-                    stack.append((t.text, []))
+            key = self.peek()
+            if key == "var":
+                term = self.getvar(self.take())
+            elif key == "name":
+                name = self.take()
+                if self.peek() == "(":
+                    self.take()
+                    stack.append((name, []))
                     continue
-                term = Atom(t.text)
-            elif t.kind == "int":
-                self.advance()
-                term = Int(int(t.text))
-            elif self.at_op("-"):
-                self.advance()
-                n = self.tok
-                if n.kind != "int":
-                    self.fail("expected integer after '-'")
-                self.advance()
-                term = Int(-int(n.text))
+                term = Atom(name)
+            elif key == "int":
+                term = Int(int(self.take()))
+            elif key == "-":
+                self.take()
+                term = Int(-int(self.expect("int", "expected integer after '-'")))
             else:
-                self.fail(f"expected a term, found {t.text or 'end of input'!r}")
+                self.fail(f"expected a term, found {self.found()}")
             # the term is an argument of the innermost open struct;
             # close each struct that ends after it
             while stack:
-                if self.at_op("/"):  # name/arity inside declarations
-                    self.advance()
-                    n = self.tok
-                    if n.kind != "int":
-                        self.fail("expected arity after '/'")
-                    self.advance()
-                    term = Struct("/", (term, Int(int(n.text))))
+                if self.peek() == "/":  # name/arity inside declarations
+                    self.take()
+                    arity = self.expect("int", "expected arity after '/'")
+                    term = Struct("/", (term, Int(int(arity))))
                 functor, args = stack[-1]
                 args.append(term)
-                if self.at_op(","):
-                    self.advance()
+                if self.peek() == ",":
+                    self.take()
                     break
-                self.expect_op(")")
+                self.expect(")")
                 stack.pop()
                 term = Struct(functor, tuple(args))
             else:
@@ -179,39 +181,37 @@ class _Parser:
 
     def parse_arith_term(self):
         term = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            rhs = self.parse_term()
-            term = Struct(op, (term, rhs))
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            term = Struct(op, (term, self.parse_term()))
         return term
 
     # -- literals ------------------------------------------------------------
 
     def parse_literal(self):
-        if self.at_op("("):
+        key = self.peek()
+        if key == "(":
             # parenthesized constraint expression
             return ConstraintLit(self.parse_cexpr())
-        t = self.tok
-        if t.kind == "name" and t.text == "not":
-            self.advance()
-            if self.at_op("("):
-                self.advance()
-                inner = self.parse_plain_userlit()
-                self.expect_op(")")
-            else:
-                inner = self.parse_plain_userlit()
-            return NafLit(inner)
+        if key == "name" and self.tokens[self.i][1] == "not":
+            self.take()
+            if self.peek() != "(":
+                return NafLit(self.parse_plain_userlit())
+            self.take()
+            lit = NafLit(self.parse_plain_userlit())
+            self.expect(")")
+            return lit
         term = self.parse_arith_term()
-        if self.at_op("::"):
-            self.advance()
+        key = self.peek()
+        if key == "::":
+            self.take()
             return self.parse_domain_decl(term)
-        if self.at_op(*_COMPARISONS, And.op, Or.op):
+        if key in _COMPARISONS or key in (And.op, Or.op):
             return ConstraintLit(self.parse_cexpr(self.parse_comparison(term)))
         return self.term_to_userlit(term)
 
     def parse_plain_userlit(self) -> UserLit:
-        term = self.parse_term()
-        return self.term_to_userlit(term)
+        return self.term_to_userlit(self.parse_term())
 
     def term_to_userlit(self, term) -> UserLit:
         if isinstance(term, Atom):
@@ -223,24 +223,20 @@ class _Parser:
         self.fail(f"expected a goal, found {_message_term(term)}")
 
     def parse_domain_decl(self, var):
-        if self.at_op("["):
-            self.advance()
+        if self.peek() == "[":
+            self.take()
             atoms = []
-            if not self.at_op("]"):
+            if self.peek() != "]":
                 while True:
-                    t = self.tok
-                    if t.kind != "name":
-                        self.fail("expected an atom in domain list")
-                    self.advance()
-                    atoms.append(Atom(t.text))
-                    if self.at_op(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_op("]")
+                    atoms.append(Atom(self.expect(
+                        "name", "expected an atom in domain list")))
+                    if self.peek() != ",":
+                        break
+                    self.take()
+            self.expect("]")
             return DomainDecl(var, Int(0), Int(0), tuple(atoms))
         lo = self.parse_arith_term()
-        self.expect_op("..")
+        self.expect("..")
         hi = self.parse_arith_term()
         return DomainDecl(var, lo, hi)
 
@@ -257,40 +253,40 @@ class _Parser:
         c = first
         while True:
             if c is None:
-                if self.at_op("("):
-                    self.advance()
+                if self.peek() == "(":
+                    self.take()
                     stack.append((disj, conj))
                     disj = conj = None
                     continue
                 c = self.parse_comparison(self.parse_arith_term())
             conj = c if conj is None else And(conj, c)
             c = None
-            if self.at_op(And.op):
-                self.advance()
+            key = self.peek()
+            if key == And.op:
+                self.take()
                 continue
             disj = conj if disj is None else Or(disj, conj)
             conj = None
-            if self.at_op(Or.op):
-                self.advance()
+            if key == Or.op:
+                self.take()
                 continue
             if not stack:
                 return disj
-            self.expect_op(")")
+            self.expect(")")
             c = disj
             disj, conj = stack.pop()
 
     def parse_comparison(self, lhs) -> Constraint:
-        if not self.at_op(*_COMPARISONS):
+        if self.peek() not in _COMPARISONS:
             self.fail("expected a constraint operator")
-        cls = _COMPARISONS[self.advance().text]
-        return cls(lhs, self.parse_arith_term())
+        return _COMPARISONS[self.take()](lhs, self.parse_arith_term())
 
     # -- clauses and programs ------------------------------------------------
 
     def parse_body(self):
         body = [self.parse_literal()]
-        while self.at_op(","):
-            self.advance()
+        while self.peek() == ",":
+            self.take()
             body.append(self.parse_literal())
         return tuple(body)
 
@@ -298,10 +294,10 @@ class _Parser:
         self.reset_vars()
         head = self.parse_plain_userlit()
         body = ()
-        if self.at_op(":-"):
-            self.advance()
+        if self.peek() == ":-":
+            self.take()
             body = self.parse_body()
-        self.expect_op(".")
+        self.expect(".")
         return Clause(head, body)
 
 
@@ -310,17 +306,14 @@ def parse_theory(text: str) -> AbductiveTheory:
     p = _Parser(text)
     theory = AbductiveTheory()
     errors: list[ParseError] = []
-    while p.tok.kind != "eof":
-        start = p.i
+    while p.peek() != "eof":
         try:
             item = p.parse_item()
         except ParseFailure as e:
             errors.extend(e.errors)
-            p.i = max(start, p.i)  # resync past the next clause terminator
-            while p.tok.kind != "eof" and not p.at_op("."):
-                p.advance()
-            if p.at_op("."):
-                p.advance()
+            # resync past the next clause terminator
+            while p.peek() != "eof" and p.take() != ".":
+                pass
             continue
         if item.head.name == "ic" and not item.head.args:
             if not item.body:
@@ -351,10 +344,10 @@ def parse_goal(text: str):
     """Parse a conjunction into a literal list; raises ParseFailure."""
     p = _Parser(text)
     body = list(p.parse_body())
-    if p.at_op("."):
-        p.advance()
-    if p.tok.kind != "eof":
-        p.fail(f"unexpected input after goal: {p.tok.text!r}")
+    if p.peek() == ".":
+        p.take()
+    if p.peek() != "eof":
+        p.fail(f"unexpected input after goal: {p.found()}")
     return body
 
 
@@ -364,11 +357,11 @@ def parse_facts(text: str):
     list; raises ParseFailure with positions in `text`."""
     p = _Parser(text)
     lits = []
-    while p.tok.kind != "eof":
+    while p.peek() != "eof":
         p.reset_vars()
         lits.extend(p.parse_body())
-        if p.tok.kind != "eof":
-            p.expect_op(".")
+        if p.peek() != "eof":
+            p.expect(".")
     return lits
 
 

@@ -905,6 +905,10 @@ class ConstraintStore:
         for integers and declaration order for atoms, optionally shuffled by
         `rng` for randomized harness runs.  `prefer` maps variable ids to
         values to try first (used by minimal-change rescheduling).
+
+        The store is left as it was found, whether the enumeration runs
+        to its end or is abandoned (closed, or dropped) after any
+        valuation.
         """
         if not self.consistent:
             return
@@ -915,27 +919,31 @@ class ConstraintStore:
         # path) per labelled variable: the search keeps its own stack, so it
         # does not recurse however many variables there are
         path = []
-        while True:
-            pending = [v for v in vs if v.id not in acc]
-            if pending:
-                v = pending[0] if strategy != "first_fail" else min(
-                    pending, key=lambda u: (self.domains[u.id].size, u.id))
-                path.append((v, self._value_order(v, rng, prefer), None))
-            else:
-                yield dict(acc)
-            # move the deepest variable with a value left to that value
-            while path:
-                v, values, mark = path.pop()
-                if mark is not None:
-                    del acc[v.id]
-                    self.restore(mark)
-                step = self._post_next(v, values)
-                if step is not None:
-                    mark, acc[v.id] = step
-                    path.append((v, values, mark))
-                    break
-            else:
-                return
+        entry = self.snapshot()
+        try:
+            while True:
+                pending = [v for v in vs if v.id not in acc]
+                if pending:
+                    v = pending[0] if strategy != "first_fail" else min(
+                        pending, key=lambda u: (self.domains[u.id].size, u.id))
+                    path.append((v, self._value_order(v, rng, prefer), None))
+                else:
+                    yield dict(acc)
+                # move the deepest variable with a value left to that value
+                while path:
+                    v, values, mark = path.pop()
+                    if mark is not None:
+                        del acc[v.id]
+                        self.restore(mark)
+                    step = self._post_next(v, values)
+                    if step is not None:
+                        mark, acc[v.id] = step
+                        path.append((v, values, mark))
+                        break
+                else:
+                    return
+        finally:
+            self.restore(entry)
 
     def _post_next(self, v, values):
         """Post `v = x` for the next value x that propagates: (mark before

@@ -143,6 +143,18 @@ def test_minimize_mode(simple, capsys):
     assert "a(3)" in out
 
 
+def test_minimize_mode_finds_a_cheaper_labelling_after_the_first(tmp_path,
+                                                                 capsys):
+    p = tmp_path / "cost.aclp"
+    p.write_text("abducible_predicate(a/2).\n"
+                 "g :- X :: 1..2, C :: 0..9, (X #= 1 #/\\ C #= 5) "
+                 "#\\/ (X #= 2 #/\\ C #= 3), a(X, C).\n")
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "g",
+                       "--minimize", "C")
+    assert code == 0
+    assert out == "Δ = {a(2,3)}\nobjective = 3\n"
+
+
 def test_initial_hypotheses_file(simple, tmp_path, capsys):
     init = tmp_path / "init.facts"
     init.write_text("a(4).\n")

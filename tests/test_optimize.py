@@ -66,6 +66,30 @@ def test_minimize_matches_brute_force():
     assert best.objective == min(c for _, _, c in feasible)
 
 
+BETTER_LATER = """
+    abducible_predicate(a/2).
+    g :- X :: 1..2, C :: 0..9,
+         (X #= 1 #/\\ C #= 5) #\\/ (X #= 2 #/\\ C #= 3), a(X, C).
+"""
+
+
+def test_minimize_finds_a_cheaper_labelling_after_the_first():
+    # the first labelling costs 5; the bound C #< 5 must be posted on the
+    # unlabelled store, which still allows the cost-3 labelling
+    ans = first_answer(BETTER_LATER, "g")
+    best = minimize(ans, find_cost_var(ans, "C"))
+    assert best.objective == 3
+    assert best.delta == (UserLit("a", (Int(2), Int(3))),)
+
+
+def test_labellings_twice_on_one_answer_give_the_same_list():
+    ans = first_answer(BETTER_LATER, "g")
+    first = list(ans.labellings())
+    assert len(first) == 2
+    assert next(ans.labellings()) == first[0]   # abandoned after one
+    assert list(ans.labellings()) == first
+
+
 def test_minimize_unknown_variable():
     ans = first_answer("abducible_predicate(a/1).\ng(X) :- X :: 1..3, a(X).",
                        "g(X)")

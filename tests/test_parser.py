@@ -6,7 +6,8 @@ import pytest
 
 from aclp.corpus import generate_blocks, generate_jobshop
 from aclp.engine import solve
-from aclp.parser import (ParseFailure, format_theory, parse_goal, parse_theory)
+from aclp.parser import (ParseFailure, format_theory, parse_facts, parse_goal,
+                         parse_theory)
 from aclp.store import And, Eq, Le, Lt, Neq, Or, TermEq
 from aclp.terms import (ConstraintLit, DomainDecl, Int, NafLit, Struct,
                         UserLit, Var)
@@ -150,6 +151,65 @@ def test_comments_are_ignored():
 def test_illegal_character_reported():
     with pytest.raises(ParseFailure):
         parse_theory("p :- q & r.")
+
+
+# (parser, input, [(line, column, category, message)]) for every kind of
+# parse error, a multi-error resync and a facts file
+ERROR_TABLE = [
+    (parse_theory, "p(a) :- q.\np(b) :- q @ r.\n",
+     [(2, 11, "syntax", "illegal character '@'")]),
+    (parse_theory, "p(,).",
+     [(1, 3, "syntax", "expected a term, found ','")]),
+    (parse_theory, "p(-a).",
+     [(1, 4, "syntax", "expected integer after '-'")]),
+    (parse_theory, "abducible_predicate(a/b).",
+     [(1, 23, "syntax", "expected arity after '/'")]),
+    (parse_theory, "p(a b).",
+     [(1, 5, "syntax", "expected ')', found 'b'")]),
+    (parse_theory, "p(a) q.",
+     [(1, 6, "syntax", "expected '.', found 'q'")]),
+    (parse_theory, "p :- q",
+     [(1, 7, "syntax", "expected '.', found 'end of input'")]),
+    (parse_theory, "g :- X :: 1 5.",
+     [(1, 13, "syntax", "expected '..', found '5'")]),
+    (parse_theory, "g :- X :: [a b].",
+     [(1, 14, "syntax", "expected ']', found 'b'")]),
+    (parse_theory, "g :- (X + 1).",
+     [(1, 12, "syntax", "expected a constraint operator")]),
+    (parse_theory, "g :- X :: [a, 1].",
+     [(1, 15, "syntax", "expected an atom in domain list")]),
+    (parse_theory, "g :- X + 1.",
+     [(1, 11, "syntax", "arithmetic term is not a valid goal")]),
+    (parse_theory, "g :- 3.",
+     [(1, 7, "syntax", "expected a goal, found 3")]),
+    (parse_theory, "abducible_predicate(a/0).\nic.",
+     [(1, 1, "validation", "integrity constraint with empty body")]),
+    (parse_theory, "abducible_predicate(a).",
+     [(1, 1, "validation", "malformed abducible declaration a")]),
+    (parse_theory, "p(,).\nq(a).\n  r(a b) :- s.\nt :- X #< .\nu :- not(v.\n",
+     [(1, 3, "syntax", "expected a term, found ','"),
+      (3, 7, "syntax", "expected ')', found 'b'"),
+      (4, 11, "syntax", "expected a term, found '.'"),
+      (5, 11, "syntax", "expected ')', found '.'")]),
+    (parse_goal, "p(X) q(X)",
+     [(1, 6, "syntax", "unexpected input after goal: 'q'")]),
+    (parse_goal, "p(X), X #/\\ Y",
+     [(1, 9, "syntax", "expected a constraint operator")]),
+    (parse_goal, "",
+     [(1, 1, "syntax", "expected a term, found 'end of input'")]),
+    (parse_facts, "a(1).\nb(2) c(3).\n",
+     [(2, 6, "syntax", "expected '.', found 'c'")]),
+    (parse_facts, "a(1).\nb(X,\n",
+     [(3, 1, "syntax", "expected a term, found 'end of input'")]),
+]
+
+
+@pytest.mark.parametrize("parse, text, expected", ERROR_TABLE)
+def test_error_table(parse, text, expected):
+    with pytest.raises(ParseFailure) as e:
+        parse(text)
+    assert [(err.line, err.column, err.category, err.message)
+            for err in e.value.errors] == expected
 
 
 # -- round-trips ------------------------------------------------------------
