@@ -14,8 +14,9 @@ kind (`int`, `var`, `name`), so one comparison of the key tests both.
 The parser holds one cursor, an index into that list, which only `take`
 moves: `peek` gives the next key, `take` its text, and `expect` takes a
 token of the given key or fails with a message at the token's offset.
-Nested terms and constraint brackets are parsed with explicit stacks, so
-nesting depth is not bounded by recursion.
+Terms, arithmetic and constraint expressions are parsed by one routine,
+`parse_expr`, driven by the operator table `_STRENGTH` and one explicit
+stack, so nesting depth is not bounded by recursion.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ _TOKEN_RE = re.compile(r"""
 
 # comparison operator -> constraint class; TermNeq has no surface syntax
 _COMPARISONS = {cls.op: cls for cls in (Neq, Eq, Lt, Le, Gt, Ge, TermEq)}
+# floors of `_Parser.parse_expr`: `_ANY` admits every operator, `_ARITH`
+# only `+`/`-` and `_TERM` none.  `_COMPARE` is the comparisons' strength;
+# a constraint may start where the floor is at most that
+_ANY, _COMPARE, _ARITH, _TERM = 1, 3, 4, 5
+# infix operator -> binding strength, loosest first (docs/syntax.md): a
+# connective joins constraints, a comparison or `+`/`-` joins terms
+_STRENGTH = {Or.op: 1, And.op: 2, **dict.fromkeys(_COMPARISONS, _COMPARE),
+             "+": _ARITH, "-": _ARITH}
 
 
 def tokenize(text: str) -> list:
@@ -137,63 +146,98 @@ class _Parser:
             self.var_ix += 1
         return self.varmap[name]
 
-    # -- terms ---------------------------------------------------------------
+    # -- expressions ---------------------------------------------------------
 
-    def parse_term(self):
-        """One term.  Nested arguments are parsed with a stack of the
-        structs still open, so nesting is not bounded by recursion."""
-        stack = []                      # (functor, arguments so far)
+    def parse_expr(self, floor: int):
+        """An expression whose operators bind at least as tightly as `floor`
+        (`_STRENGTH`); at `_TERM` it is one term.  Leaves are read in a
+        loop, and each operator waits on one stack until a looser operator
+        or the end of its frame folds it.  The stack also holds each open
+        argument list and bracket with the floor it interrupts, so nesting
+        is not bounded by recursion.  A bracket opens only where a
+        constraint may start and holds a constraint; a connective joins only
+        constraints, and a comparison or `+`/`-` after a constraint ends
+        the frame."""
+        # (0, outer floor, functor, args) opens an argument list, or a
+        # bracket when args is None; (strength, op, left) is an operator
+        # waiting for its right operand
+        stack = []
+        at = floor                      # the floor of the leaf read next
         while True:
             key = self.peek()
             if key == "var":
-                term = self.getvar(self.take())
+                t = self.getvar(self.take())
             elif key == "name":
                 name = self.take()
                 if self.peek() == "(":
                     self.take()
-                    stack.append((name, []))
+                    stack.append((0, floor, name, []))
+                    floor = at = _TERM
                     continue
-                term = Atom(name)
+                t = Atom(name)
             elif key == "int":
-                term = Int(int(self.take()))
+                t = Int(int(self.take()))
             elif key == "-":
                 self.take()
-                term = Int(-int(self.expect("int", "expected integer after '-'")))
+                t = Int(-int(self.expect("int", "expected integer after '-'")))
+            elif key == "(" and at <= _COMPARE:
+                self.take()
+                stack.append((0, floor, None, None))
+                floor = at = _ANY
+                continue
             else:
                 self.fail(f"expected a term, found {self.found()}")
-            # the term is an argument of the innermost open struct;
-            # close each struct that ends after it
-            while stack:
-                if self.peek() == "/":  # name/arity inside declarations
-                    self.take()
-                    arity = self.expect("int", "expected arity after '/'")
-                    term = Struct("/", (term, Int(int(arity))))
-                functor, args = stack[-1]
-                args.append(term)
-                if self.peek() == ",":
-                    self.take()
-                    break
+            while True:
+                # t is complete.  It is the left operand of the next token
+                # if that is an operator its frame admits and t is of the
+                # kind it joins; a term before a connective is an error,
+                # and a constraint before any other operator ends the frame
+                s = _STRENGTH.get(self.peek(), 0)
+                if s >= floor:
+                    while stack and stack[-1][0] >= s:
+                        t = self.fold(stack.pop(), t)
+                    if (s < _COMPARE) == isinstance(t, Constraint):
+                        stack.append((s, self.take(), t))
+                        at = s + 1
+                        break
+                    if s < _COMPARE:
+                        self.fail("expected a constraint operator")
+                while stack and stack[-1][0]:
+                    t = self.fold(stack.pop(), t)
+                if not stack:
+                    return t
+                _, outer, functor, args = stack[-1]
+                if args is not None:
+                    if self.peek() == "/":  # name/arity inside declarations
+                        self.take()
+                        arity = self.expect("int", "expected arity after '/'")
+                        t = Struct("/", (t, Int(int(arity))))
+                    args.append(t)
+                    if self.peek() == ",":
+                        self.take()
+                        break
+                    t = Struct(functor, tuple(args))
+                elif not isinstance(t, Constraint):
+                    self.fail("expected a constraint operator")
                 self.expect(")")
                 stack.pop()
-                term = Struct(functor, tuple(args))
-            else:
-                return term
+                floor = outer
 
-    def parse_arith_term(self):
-        term = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = Struct(op, (term, self.parse_term()))
-        return term
+    def fold(self, waiting, right):
+        """The operator `waiting` applied to its left operand and `right`."""
+        s, op, left = waiting
+        if s > _COMPARE:
+            return Struct(op, (left, right))
+        if s == _COMPARE:
+            return _COMPARISONS[op](left, right)
+        if not isinstance(right, Constraint):
+            self.fail("expected a constraint operator")
+        return (Or if op == Or.op else And)(left, right)
 
     # -- literals ------------------------------------------------------------
 
     def parse_literal(self):
-        key = self.peek()
-        if key == "(":
-            # parenthesized constraint expression
-            return ConstraintLit(self.parse_cexpr())
-        if key == "name" and self.tokens[self.i][1] == "not":
+        if self.peek() == "name" and self.tokens[self.i][1] == "not":
             self.take()
             if self.peek() != "(":
                 return NafLit(self.parse_plain_userlit())
@@ -201,17 +245,16 @@ class _Parser:
             lit = NafLit(self.parse_plain_userlit())
             self.expect(")")
             return lit
-        term = self.parse_arith_term()
-        key = self.peek()
-        if key == "::":
+        expr = self.parse_expr(_ANY)
+        if isinstance(expr, Constraint):
+            return ConstraintLit(expr)
+        if self.peek() == "::":
             self.take()
-            return self.parse_domain_decl(term)
-        if key in _COMPARISONS or key in (And.op, Or.op):
-            return ConstraintLit(self.parse_cexpr(self.parse_comparison(term)))
-        return self.term_to_userlit(term)
+            return self.parse_domain_decl(expr)
+        return self.term_to_userlit(expr)
 
     def parse_plain_userlit(self) -> UserLit:
-        return self.term_to_userlit(self.parse_term())
+        return self.term_to_userlit(self.parse_expr(_TERM))
 
     def term_to_userlit(self, term) -> UserLit:
         if isinstance(term, Atom):
@@ -235,51 +278,10 @@ class _Parser:
                     self.take()
             self.expect("]")
             return DomainDecl(var, Int(0), Int(0), tuple(atoms))
-        lo = self.parse_arith_term()
+        lo = self.parse_expr(_ARITH)
         self.expect("..")
-        hi = self.parse_arith_term()
+        hi = self.parse_expr(_ARITH)
         return DomainDecl(var, lo, hi)
-
-    # -- constraint expressions ----------------------------------------------
-
-    def parse_cexpr(self, first: Constraint = None) -> Constraint:
-        """A constraint expression, the `constraint` rule of docs/syntax.md:
-        `#/\\` binds tighter than `#\\/`, and both group to the left.
-        `first` is a primitive already parsed.  Each open bracket keeps its
-        disjunction and conjunction so far on a stack, so brackets nest
-        without recursion."""
-        stack = []
-        disj = conj = None
-        c = first
-        while True:
-            if c is None:
-                if self.peek() == "(":
-                    self.take()
-                    stack.append((disj, conj))
-                    disj = conj = None
-                    continue
-                c = self.parse_comparison(self.parse_arith_term())
-            conj = c if conj is None else And(conj, c)
-            c = None
-            key = self.peek()
-            if key == And.op:
-                self.take()
-                continue
-            disj = conj if disj is None else Or(disj, conj)
-            conj = None
-            if key == Or.op:
-                self.take()
-                continue
-            if not stack:
-                return disj
-            self.expect(")")
-            c = disj
-            disj, conj = stack.pop()
-
-    def parse_comparison(self, lhs) -> Constraint:
-        if self.peek() not in _COMPARISONS:
-            self.fail("expected a constraint operator")
-        return _COMPARISONS[self.take()](lhs, self.parse_arith_term())
 
     # -- clauses and programs ------------------------------------------------
 
@@ -307,6 +309,7 @@ def parse_theory(text: str) -> AbductiveTheory:
     theory = AbductiveTheory()
     errors: list[ParseError] = []
     while p.peek() != "eof":
+        start = p.tokens[p.i][2]        # where clause-level errors point
         try:
             item = p.parse_item()
         except ParseFailure as e:
@@ -317,7 +320,7 @@ def parse_theory(text: str) -> AbductiveTheory:
             continue
         if item.head.name == "ic" and not item.head.args:
             if not item.body:
-                errors.append(_error(text, 0, "integrity constraint with empty body",
+                errors.append(_error(text, start, "integrity constraint with empty body",
                                      "validation"))
             else:
                 theory.ics.append(IntegrityConstraint(item.body))
@@ -328,7 +331,7 @@ def parse_theory(text: str) -> AbductiveTheory:
                     and isinstance(spec.args[1], Int)):
                 theory.abducibles.add((spec.args[0].name, spec.args[1].value))
             else:
-                errors.append(_error(text, 0,
+                errors.append(_error(text, start,
                                      f"malformed abducible declaration {_message_term(spec)}",
                                      "validation"))
         else:

@@ -912,7 +912,9 @@ class ConstraintStore:
         """
         if not self.consistent:
             return
-        vs = [v for v in vars if self.has_domain(v)]
+        # one entry per variable id, so the labelled ones are always a
+        # prefix of vs under input_order
+        vs = list({v.id: v for v in vars if self.has_domain(v)}.values())
         prefer = prefer or {}
         acc = {}                      # variable id -> its value on this path
         # (variable, its values not yet tried, mark before its value on this
@@ -922,10 +924,15 @@ class ConstraintStore:
         entry = self.snapshot()
         try:
             while True:
-                pending = [v for v in vs if v.id not in acc]
-                if pending:
-                    v = pending[0] if strategy != "first_fail" else min(
-                        pending, key=lambda u: (self.domains[u.id].size, u.id))
+                if len(acc) < len(vs):
+                    v = vs[len(acc)]
+                    if strategy == "first_fail":    # least (size, id) left
+                        least = None
+                        for u in vs:
+                            if u.id not in acc:
+                                key = (self.domains[u.id].size, u.id)
+                                if least is None or key < least:
+                                    least, v = key, u
                     path.append((v, self._value_order(v, rng, prefer), None))
                 else:
                     yield dict(acc)

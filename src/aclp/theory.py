@@ -75,6 +75,10 @@ class AbductiveTheory:
 # ---------------------------------------------------------------------------
 
 def _rewrite_body(body, found: dict):
+    """`body` with each not(p(...)) as not_p(...); `body` itself when it
+    has none."""
+    if not any(isinstance(lit, NafLit) for lit in body):
+        return body
     out = []
     for lit in body:
         if isinstance(lit, NafLit):
@@ -112,9 +116,11 @@ def compile_naf(theory: AbductiveTheory, mode: str = "validate") -> AbductiveThe
     out = AbductiveTheory(abducibles=set(theory.abducibles),
                           naf_complements=dict(theory.naf_complements))
     for clause in theory.all_clauses():
-        out.add_clause(Clause(clause.head, _rewrite_body(clause.body, found)))
+        body = _rewrite_body(clause.body, found)
+        out.add_clause(clause if body is clause.body else Clause(clause.head, body))
     for ic in theory.ics:
-        out.ics.append(IntegrityConstraint(_rewrite_body(ic.body, found)))
+        body = _rewrite_body(ic.body, found)
+        out.ics.append(ic if body is ic.body else IntegrityConstraint(body))
 
     for key, complement in sorted(found.items()):
         out.naf_complements[key] = complement

@@ -29,6 +29,21 @@ def test_theory_without_naf_is_unchanged():
     assert out.ics == theory.ics
 
 
+def test_naf_free_clauses_and_ics_are_kept_as_they_are():
+    theory = parse_theory("""
+        abducible_predicate(a/1).
+        abducible_predicate(not_q/0).
+        p(X) :- a(X).
+        r :- not(q).
+        ic :- a(X), b(X).
+        ic :- not_q, q.
+    """)
+    out = compile_naf(theory, mode="validate")
+    assert out.clauses_for("p", 1)[0] is theory.clauses_for("p", 1)[0]
+    assert out.clauses_for("r", 0)[0] is not theory.clauses_for("r", 0)[0]
+    assert [a is b for a, b in zip(out.ics, theory.ics)] == [True, True]
+
+
 def test_validate_mode_requires_declaration():
     theory = parse_theory("p :- not(q).")
     with pytest.raises(TheoryError) as e:

@@ -57,6 +57,15 @@ def test_parse_atom_domain_and_naf():
     assert isinstance(naf, NafLit) and naf.inner.name == "q"
 
 
+def test_operators_bind_by_strength():
+    X, Y, Z = Var("X", 0), Var("Y", 1), Var("Z", 2)
+    (lit,) = parse_goal("X #= 1 #\\/ Y #= 2 #/\\ Z #= 3")
+    assert lit.constraint == Or(Eq(X, Int(1)),
+                                And(Eq(Y, Int(2)), Eq(Z, Int(3))))
+    (lit,) = parse_goal("X - 1 + 2 #<= Y")
+    assert lit.constraint == Le(Struct("+", (Struct("-", (X, Int(1))), Int(2))), Y)
+
+
 def test_parse_arith_offsets():
     (lit,) = parse_goal("S1 + 3 #<= S2")
     c = lit.constraint
@@ -183,7 +192,7 @@ ERROR_TABLE = [
     (parse_theory, "g :- 3.",
      [(1, 7, "syntax", "expected a goal, found 3")]),
     (parse_theory, "abducible_predicate(a/0).\nic.",
-     [(1, 1, "validation", "integrity constraint with empty body")]),
+     [(2, 1, "validation", "integrity constraint with empty body")]),
     (parse_theory, "abducible_predicate(a).",
      [(1, 1, "validation", "malformed abducible declaration a")]),
     (parse_theory, "p(,).\nq(a).\n  r(a b) :- s.\nt :- X #< .\nu :- not(v.\n",
@@ -201,6 +210,20 @@ ERROR_TABLE = [
      [(2, 6, "syntax", "expected '.', found 'c'")]),
     (parse_facts, "a(1).\nb(X,\n",
      [(3, 1, "syntax", "expected a term, found 'end of input'")]),
+    (parse_theory, "p(1).\nq(2).\n  abducible_predicate(f(X)).\n",
+     [(3, 3, "validation", "malformed abducible declaration f(X)")]),
+    (parse_theory, "g :- X #< Y #< Z.",
+     [(1, 13, "syntax", "expected '.', found '#<'")]),
+    (parse_theory, "g :- X #< (Y).",
+     [(1, 11, "syntax", "expected a term, found '('")]),
+    (parse_theory, "g :- (X #= 1) + 2.",
+     [(1, 15, "syntax", "expected '.', found '+'")]),
+    (parse_theory, "g :- a #/\\ b.",
+     [(1, 8, "syntax", "expected a constraint operator")]),
+    (parse_theory, "p(X + 1).",
+     [(1, 5, "syntax", "expected ')', found '+'")]),
+    (parse_theory, "g :- X :: 1 #< 2..5.",
+     [(1, 13, "syntax", "expected '..', found '#<'")]),
 ]
 
 

@@ -453,6 +453,16 @@ def test_label_seeded_rng_is_deterministic():
         for sol in store.clone().label(vars_))
 
 
+def test_label_first_fail_takes_the_smallest_domain_then_the_least_id():
+    store, vars_ = make([1, 2, 3], [1, 2], [1, 2, 3], [5])
+    assert store.post(Eq(vars_[2], vars_[0]))
+    # X3 is fixed; X1 has two values; X0 and X2 tie at three, so X0 goes
+    # first, and labelling it fixes X2
+    first = next(store.label(vars_, "first_fail"))
+    assert list(first) == [3, 1, 0, 2]
+    assert list(next(store.label(vars_))) == [0, 1, 2, 3]
+
+
 def test_label_more_variables_than_the_recursion_limit():
     n = 2 * sys.getrecursionlimit()
     store, vars_ = make(*[[0, 1]] * n)
