@@ -8,7 +8,6 @@ Exit codes: 0 with at least one answer, 1 with none, 2 on any error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -16,8 +15,8 @@ import time
 from .engine import Answer, Config, solve
 from .corpus import (first_ground, generate_blocks, generate_jobshop,
                      reschedule_case)
-from .optimize import (GroundAnswer, change_count, find_cost_var, min_changes,
-                       minimize, reschedule)
+from .optimize import (GroundAnswer, change_count, find_cost_var, minimize,
+                       reschedule)
 from .parser import (format_constraint, format_literal, format_term,
                      parse_facts, parse_goal, parse_theory)
 from .terms import AclpError
@@ -114,7 +113,7 @@ def _cmd_solve(args) -> int:
     initial = tuple(parse_facts(initial_text))
     config = Config(max_depth=args.max_depth,
                     ic_order=_IC_ORDERS[args.ic_order],
-                    time_budget=args.time_budget)
+                    max_steps=args.max_steps)
     strategy = _STRATEGIES[args.strategy]
 
     blocks, docs = [], []
@@ -185,10 +184,8 @@ def _bench_reschedule(n, seed, config):
     fresh = first_ground(changed, config)
     if old is None or fresh is None:
         return "0 vs 0 changes", "NO ANSWER"
-    budget = dataclasses.replace(config,
-                                 time_budget=config.time_budget or 10.0)
     ga = reschedule(parse_theory(changed.program),
-                    parse_goal(changed.goal_text), old, config=budget)
+                    parse_goal(changed.goal_text), old, config=config)
     ok = (validate_jobshop_schedule(changed, fresh)[0]
           and validate_jobshop_schedule(changed, ga.delta)[0])
     return (f"{ga.changes} vs {change_count(fresh, old)} changes",
@@ -200,7 +197,7 @@ _SUITES = {"blocksworld": _bench_blocksworld, "jobshop": _bench_jobshop,
 
 
 def _cmd_bench(args) -> int:
-    config = Config(max_depth=args.max_depth, time_budget=args.time_budget)
+    config = Config(max_depth=args.max_depth, max_steps=args.max_steps)
     suite = _SUITES[args.suite]
     print(f"{'size':>6}  {'time':>8}  {'metric':<22}  verdict")
     for n in args.sizes:
@@ -216,13 +213,6 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
     return n
-
-
-def _positive_number(text: str) -> float:
-    x = float(text)
-    if not x > 0:                     # also false for nan
-        raise argparse.ArgumentTypeError(f"{text} is not a positive number")
-    return x
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="validate")
     s.add_argument("--json", action="store_true")
     s.add_argument("--max-depth", type=_positive_int, default=10000)
-    s.add_argument("--time-budget", type=_positive_number, default=None,
-                   help="wall-clock seconds before the search gives up")
+    s.add_argument("--max-steps", type=_positive_int, default=None,
+                   help="search steps before the search gives up")
     s.set_defaults(func=_cmd_solve)
 
     b = sub.add_parser("bench", help="run a benchmark suite")
@@ -257,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sizes", type=_positive_int, nargs="+", required=True)
     b.add_argument("--seed", type=int, default=DEFAULT_BENCH_SEED)
     b.add_argument("--max-depth", type=_positive_int, default=10000)
-    b.add_argument("--time-budget", type=_positive_number, default=None)
+    b.add_argument("--max-steps", type=_positive_int, default=None)
     b.set_defaults(func=_cmd_bench)
     return p
 

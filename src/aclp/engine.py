@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -84,7 +83,7 @@ class DepthLimitExceededError(AclpError):
 class Config:
     max_depth: int = 10000
     ic_order: str = "source"          # source | specific_first
-    time_budget: float = None         # wall-clock seconds per solve, or None
+    max_steps: int = None             # search steps per solve, or None
     # the store's implementation-wide default range, read by perfbench's
     # checks: class constants, not fields, so no solve sets its own
     default_lo = DEFAULT_LO
@@ -287,8 +286,7 @@ class Solver:
         self.budget_hit = False
         self.answers_emitted = 0
         self.choices: list = []        # (mark, step) alternatives left to try
-        self._deadline = None
-        self._tick = 0
+        self.steps = 0                 # steps run by `solve`'s loop
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -354,10 +352,11 @@ class Solver:
 
         `initial` hypotheses are installed through the same consistency
         check as fresh abductions before reduction starts.  The solver's
-        state is restored when the stream ends, fails or is closed.
+        state is restored when the stream ends, fails or is closed.  The
+        stream also ends, with `budget_hit` set, once the loop has run
+        `Config.max_steps` steps.
         """
-        if self.config.time_budget is not None:
-            self._deadline = time.monotonic() + self.config.time_budget
+        max_steps = self.config.max_steps
         goal = rename_conjunction(goal, self.counter)
         base = self._mark()
         step = lambda: self._install(list(initial), 0, goal, _ANSWER)
@@ -374,7 +373,11 @@ class Solver:
                     if answer is not None:
                         self.answers_emitted += 1
                         yield answer
+                elif self.steps == max_steps:
+                    self.budget_hit = True
+                    break
                 else:
+                    self.steps += 1
                     step = step()
         finally:
             self.choices.clear()
@@ -399,7 +402,7 @@ class Solver:
             return self._install(initial, i + 1, goal, k)
 
         def exhausted():
-            if not produced and not self.budget_hit:
+            if not produced:
                 raise InitialHypothesisInconsistentError(lit)
 
         self._choice(exhausted)
@@ -433,18 +436,8 @@ class Solver:
 
     # -- goal reduction ------------------------------------------------------
 
-    def _out_of_time(self) -> bool:
-        if self._deadline is None:
-            return False
-        self._tick += 1
-        if self._tick & 0xFF:
-            return self.budget_hit
-        if time.monotonic() > self._deadline:
-            self.budget_hit = True
-        return self.budget_hit
-
     def _prove(self, goals, depth, k):
-        if not self.store.consistent or self._out_of_time():
+        if not self.store.consistent:
             return None
         if not goals:
             return k
@@ -566,7 +559,7 @@ class Solver:
         A pairing that `_may_unify` rejects cannot match, so its residual
         would fail at once: it is skipped before any renaming.  A skipped
         pairing draws no fresh ids and never reaches `_fail_conj`, so it
-        neither sets `depth_limit_hit` nor ticks the time budget."""
+        never sets `depth_limit_hit`."""
         residuals = []
         for ic, pos in self._ic_literals.lookup(hyp):
             renamed, newvars = standardize_ic(ic, self.counter)
@@ -603,8 +596,6 @@ class Solver:
         """
         if not self.store.consistent:
             return k
-        if self._out_of_time():
-            return None
         if not goals:
             return None  # conjunction succeeded: failure cannot be established
         if depth >= self.config.max_depth:
@@ -659,13 +650,16 @@ class Solver:
 
     def _fail_match(self, item: _Match, fail_rest, k):
         mark = self._mark()
-        caps, bound = [], []
-        if not all(unify_terms(a, b, self.subst, self.store, caps, bound)
+        caps = []
+        if not all(unify_terms(a, b, self.subst, self.store, caps)
                    for a, b in zip(item.a, item.b)):
             self._restore(mark)
             return k  # structurally impossible match
-        gcaps = self._project_caps(caps) if caps and all(
-            self._is_local(v) for v in bound) else None
+        gcaps = None
+        if caps and self.local_ids.issuperset(self.subst.trail[mark[0]:]):
+            # every variable the match bound, as trailed since the mark,
+            # is local
+            gcaps = self._project_caps(caps)
         if not all(self.store.post(c) for c in caps):
             # the match is unsatisfiable in the current store
             self._restore(mark)

@@ -4,7 +4,7 @@ selection against a reference hypothesis set."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -13,6 +13,13 @@ from .engine import (Answer, Config, InitialHypothesisInconsistentError,
 from .parser import format_literal
 from .store import AtomDomain, Lt
 from .terms import AclpError, Atom, Int, Struct, UserLit, Var, is_ground
+
+
+# search steps per re-solve of `reschedule` when its config sets none: every
+# re-solve that succeeds on the job shops of 10 and 25 tasks, seeds 0-4,
+# takes a few hundred steps, while one over a kept set that cannot be
+# satisfied can run for hundreds of thousands
+RESCHEDULE_MAX_STEPS = 10_000
 
 
 class UnknownVariableError(AclpError):
@@ -225,13 +232,14 @@ def reschedule(theory, goal, reference: tuple, config=None,
     example a start time that now falls inside an unavailability window)
     are dropped up front.  A kept set can also be jointly infeasible even
     though each member passes on its own; when the solve produces no
-    answer (or exhausts its time budget), the most recently added
-    hypothesis is dropped and the solve retried, down to a fresh solve in
-    the worst case.  Raises AclpError when a reference literal is not
-    ground.
+    answer (or exhausts its step budget, `RESCHEDULE_MAX_STEPS` unless
+    `config.max_steps` is set), the most recently added hypothesis is dropped and
+    the solve retried, down to a fresh solve in the worst case.  Raises
+    AclpError when a reference literal is not ground.
     """
-    if config is None:
-        config = Config(time_budget=10.0)
+    config = config or Config()
+    if config.max_steps is None:
+        config = replace(config, max_steps=RESCHEDULE_MAX_STEPS)
     kept = list(reference)
     while True:
         try:

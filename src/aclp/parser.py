@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .store import (And, Constraint, Eq, Ge, Gt, Le, Lt, Neq, Or, TermEq,
-                    TermNeq, spell_constraint)
+                    TermNeq, never_scalar, spell_constraint)
 from .terms import (AclpError, Atom, Clause, ConstraintLit, DomainDecl, Int,
                     IntegrityConstraint, NafLit, Struct, UserLit, Var,
                     spell)
@@ -159,8 +159,8 @@ class _Parser:
         constraints, and a comparison or `+`/`-` after a constraint ends
         the frame."""
         # (0, outer floor, functor, args) opens an argument list, or a
-        # bracket when args is None; (strength, op, left) is an operator
-        # waiting for its right operand
+        # bracket when args is None; (strength, i, left) is the operator
+        # of token i waiting for its right operand
         stack = []
         at = floor                      # the floor of the leaf read next
         while True:
@@ -197,7 +197,8 @@ class _Parser:
                     while stack and stack[-1][0] >= s:
                         t = self.fold(stack.pop(), t)
                     if (s < _COMPARE) == isinstance(t, Constraint):
-                        stack.append((s, self.take(), t))
+                        stack.append((s, self.i, t))
+                        self.take()
                         at = s + 1
                         break
                     if s < _COMPARE:
@@ -225,10 +226,18 @@ class _Parser:
 
     def fold(self, waiting, right):
         """The operator `waiting` applied to its left operand and `right`."""
-        s, op, left = waiting
+        s, i, left = waiting
+        _, op, offset = self.tokens[i]
         if s > _COMPARE:
             return Struct(op, (left, right))
         if s == _COMPARE:
+            # an operand no binding makes scalar, except in `##=`, which
+            # compares terms; the store checks the rest once they are bound
+            for t in (left, right):
+                if op != TermEq.op and never_scalar(t):
+                    raise ParseFailure([_error(
+                        self.text, offset,
+                        f"non-scalar operand {_message_term(t)} of {op}")])
             return _COMPARISONS[op](left, right)
         if not isinstance(right, Constraint):
             self.fail("expected a constraint operator")
@@ -308,6 +317,7 @@ def parse_theory(text: str) -> AbductiveTheory:
     p = _Parser(text)
     theory = AbductiveTheory()
     errors: list[ParseError] = []
+    starts = {}                         # id of a clause or IC -> its offset
     while p.peek() != "eof":
         start = p.tokens[p.i][2]        # where clause-level errors point
         try:
@@ -323,7 +333,9 @@ def parse_theory(text: str) -> AbductiveTheory:
                 errors.append(_error(text, start, "integrity constraint with empty body",
                                      "validation"))
             else:
-                theory.ics.append(IntegrityConstraint(item.body))
+                item = IntegrityConstraint(item.body)
+                starts[id(item)] = start
+                theory.ics.append(item)
         elif item.head.indicator == ("abducible_predicate", 1) and not item.body:
             spec = item.head.args[0]
             if (isinstance(spec, Struct) and spec.functor == "/"
@@ -335,9 +347,12 @@ def parse_theory(text: str) -> AbductiveTheory:
                                      f"malformed abducible declaration {_message_term(spec)}",
                                      "validation"))
         else:
+            starts[id(item)] = start
             theory.add_clause(item)
-    for terr in theory.validate():
-        errors.append(ParseError(0, 1, 1, str(terr), "validation"))
+    # in source order, which the set of abducibles does not keep
+    errors.extend(sorted((_error(text, starts[id(terr.item)], str(terr),
+                                 "validation") for terr in theory.validate()),
+                         key=lambda e: e.offset))
     if errors:
         raise ParseFailure(errors)
     return theory
@@ -361,7 +376,9 @@ def parse_facts(text: str):
     p = _Parser(text)
     lits = []
     while p.peek() != "eof":
-        p.reset_vars()
+        # a variable's scope is its fact; ids run on, so that variables
+        # of different facts stay apart
+        p.varmap = {}
         lits.extend(p.parse_body())
         if p.peek() != "eof":
             p.expect(".")

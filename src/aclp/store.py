@@ -431,6 +431,15 @@ def split_offset(t: Term):
     return None
 
 
+def never_scalar(t: Term) -> bool:
+    """True when no binding of its variables makes `t` a scalar operand
+    (`split_offset`): a compound other than `+`/`-` over two variables or
+    integers.  `S + D` is scalar once D is bound to an integer."""
+    return isinstance(t, Struct) and not (
+        t.functor in ("+", "-") and t.arity == 2
+        and all(isinstance(a, (Var, Int)) for a in t.args))
+
+
 def _arg_pairs(a: Term, b: Term) -> Optional[list]:
     """The scalar pairs, one level deep and left to right, that are equal
     exactly when terms `a` and `b` are, leaving out pairs of equal ground

@@ -326,14 +326,15 @@ class Substitution:
 # ---------------------------------------------------------------------------
 
 def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
-                caps: list = None, bound: list = None) -> bool:
+                caps: list = None) -> bool:
     """Unify in place; emits equality constraints for domain variables.
 
     Returns False on structural mismatch, occurs-check violation or when a
     delegated equality makes the store unsatisfiable.  Caller is responsible
     for undoing subst/store marks on failure.  Given `caps`, those
-    equalities are collected there instead of posted, and every variable
-    bound is appended to `bound`.
+    equalities are collected there instead of posted.  Every binding goes
+    through `subst.bind`, so the trail since a mark names each variable
+    bound.
     """
     pairs = [(t1, t2)]
     while pairs:
@@ -353,8 +354,6 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
                 # plain variable: bind it to the domain variable instead
                 plain, dom = (t2, t1) if d1 else (t1, t2)
                 subst.bind(plain, dom)
-                if bound is not None:
-                    bound.append(plain)
             elif caps is not None:
                 caps.append(_store.Eq(t1, t2))
             elif not store.post(_store.Eq(t1, t2)):
@@ -364,8 +363,6 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
             if isinstance(t, Struct) and subst.occurs(v, t):
                 return False
             subst.bind(v, t)
-            if bound is not None:
-                bound.append(v)
         elif isinstance(t1, Struct) and isinstance(t2, Struct):
             if t1.functor != t2.functor or t1.arity != t2.arity:
                 return False

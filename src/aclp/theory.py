@@ -18,10 +18,11 @@ from .terms import (AclpError, Atom, Clause, IntegrityConstraint, Literal,
 
 
 class TheoryError(AclpError):
-    def __init__(self, code: str, detail: str):
+    def __init__(self, code: str, detail: str, item=None):
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
+        self.item = item              # the clause or IC it concerns, if one
 
 
 @dataclass
@@ -55,12 +56,13 @@ class AbductiveTheory:
             if key in self.clauses:
                 errors.append(TheoryError(
                     "ABDUCIBLE_HAS_CLAUSES",
-                    f"{key[0]}/{key[1]} is declared abducible but has defining clauses"))
+                    f"{key[0]}/{key[1]} is declared abducible but has defining clauses",
+                    self.clauses[key][0]))
         for ic in self.ics:
             if not any(self._counts_as_abducible(lit) for lit in ic.body):
                 errors.append(TheoryError(
                     "IC_WITHOUT_ABDUCIBLE",
-                    f"no abducible body literal in {ic!r}"))
+                    f"no abducible body literal in {ic!r}", ic))
         return errors
 
     def _counts_as_abducible(self, lit: Literal) -> bool:

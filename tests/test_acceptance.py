@@ -40,7 +40,7 @@ def test_soundness_on_500_random_theories():
         text, goal_text = random_theory_text(rng)
         theory = parse_theory(text)
         goal = parse_goal(goal_text)
-        stream = solve(theory, goal, config=Config(time_budget=2.0))
+        stream = solve(theory, goal, config=Config(max_steps=1_000))
         for i, ans in enumerate(stream):
             if i >= 3:
                 break
@@ -103,7 +103,7 @@ def test_naf_coherence_on_50_random_programs():
             continue
         theory = compile_naf(parse_theory(text), mode="autogenerate")
         for i, ans in enumerate(solve(theory, parse_goal(goal),
-                                      config=Config(time_budget=2.0))):
+                                      config=Config(max_steps=1_000))):
             if i >= 5:
                 break
             programs_with_answers += 1
@@ -126,7 +126,7 @@ def test_blocks_world_plans_are_valid(n_blocks):
     Move counts are reported, not asserted."""
     inst = generate_blocks(n_blocks, seed=BENCH_SEED)
     t0 = time.monotonic()
-    ground = first_ground(inst, Config(time_budget=115.0))
+    ground = first_ground(inst, Config(max_steps=100_000))
     elapsed = time.monotonic() - t0
     assert ground is not None, f"{n_blocks} blocks: no plan within budget"
     assert elapsed < 120, f"{n_blocks} blocks took {elapsed:.1f}s"
@@ -155,8 +155,7 @@ def test_rescheduling_beats_reexecution(n_tasks):
         fresh_changes = change_count(fresh, old)
 
         best = reschedule(parse_theory(changed.program),
-                          parse_goal(changed.goal_text), old,
-                          config=Config(time_budget=10.0))
+                          parse_goal(changed.goal_text), old)
         ok, reason = validate_jobshop_schedule(changed, best.delta)
         assert ok, f"seed {seed}: reschedule invalid: {reason}"
         results.append((seed, best.changes, fresh_changes))

@@ -17,7 +17,7 @@ from aclp.corpus import (event_calculus_program, generate_blocks,
 from aclp.engine import (DepthLimitExceededError,
                          InitialHypothesisInconsistentError, Solver, ic_order)
 from aclp.parser import format_literal
-from aclp.store import IntDomain
+from aclp.store import IntDomain, StoreTypeError
 from aclp.terms import (Atom, Int, IntegrityConstraint, Struct,
                         Substitution, UnknownPredicateError, UserLit, Var)
 
@@ -132,6 +132,24 @@ def test_negated_constraint_narrows_goal_variable():
     assert len(out) == 1
     x = out[0].delta[0].args[0]
     assert sorted(s[x.id].value for s in out[0].labellings()) == [3, 4, 5]
+
+
+def test_operand_made_scalar_by_a_binding_solves():
+    # `S + D` and `1 + D` are not scalar as written but are once dur/2
+    # binds D, in a clause body as in an integrity constraint
+    text = """
+        abducible_predicate(start/2).
+        dur(t1, 3).
+        ic :- start(T, S), dur(T, D), S + D #> 6.
+        g(S, E) :- S :: 0..5, start(t1, S), dur(t1, D), E #= S + D,
+                   E #> 1 + D.
+    """
+    (ans,) = answers(text, "g(S, E)")
+    s = ans.delta[0].args[1]
+    assert sorted(sol[s.id].value for sol in ans.labellings()) == [2, 3]
+    # left unbound, the store rejects it
+    with pytest.raises(StoreTypeError, match="non-scalar operand"):
+        answers("g :- X :: 0..3, Y :: 0..3, X + Y #= 2.", "g")
 
 
 def test_ground_ic_body_cannot_be_refuted():
@@ -394,7 +412,7 @@ def test_answers_with_more_variables_than_the_recursion_limit():
     assert [sol[v.id] for v in ans.delta[0].args] == [Int(0)] * n
 
 
-def test_time_budget_stops_search():
+def test_step_budget_stops_search():
     import time
     # a shallow but astronomically wide search (6^12 leaves, all failing)
     facts = "\n".join(f"c({i})." for i in range(1, 7))
@@ -402,9 +420,31 @@ def test_time_budget_stops_search():
     theory = parse_theory(f"{facts}\ng :- {body}, fail.")
     t0 = time.monotonic()
     out = list(solve(theory, parse_goal("g"),
-                     config=Config(time_budget=0.3)))
+                     config=Config(max_steps=10_000)))
     assert out == []
     assert time.monotonic() - t0 < 10.0
+
+
+def test_a_step_budget_of_k_runs_exactly_k_steps():
+    inst = generate_jobshop(4, 1)
+    theory, goal = parse_theory(inst.program), parse_goal(inst.goal_text)
+
+    def run(max_steps):
+        solver = Solver(theory, Config(max_steps=max_steps))
+        stream = [(repr(a.delta), a.store.render())
+                  for a in solver.solve(goal)]
+        return stream, solver.steps, solver.budget_hit
+
+    full, n, hit = run(None)
+    assert not hit and len(full) > 2
+    # a budget the search does not reach is no budget
+    assert run(n) == (full, n, False)
+    k = n // 2
+    stream, steps, hit = run(k)
+    assert steps == k and hit
+    assert 0 < len(stream) < len(full) and stream == full[:len(stream)]
+    assert run(k) == (stream, k, True)
+    assert run(n - 1)[1:] == (n - 1, True)
 
 
 def test_first_labelling_of_a_one_sided_bound_draws_few_values(monkeypatch):

@@ -340,7 +340,7 @@ def test_reschedule_drops_hypotheses_broken_by_theory_change():
     # reference: task 1 at 2 (now forbidden), task 2 at 3 (still fine)
     reference = lits(("s", (1, 2)), ("s", (2, 3)))
     best = reschedule(parse_theory(text_new), goal, reference,
-                      config=Config(time_budget=5.0))
+                      config=Config(max_steps=1_000))
     assert best.changes == 2  # only the broken hypothesis moves
     kept = [l for l in best.delta if l.args[0] == Int(2)]
     assert kept == [UserLit("s", (Int(2), Int(3)))]
@@ -379,7 +379,7 @@ def test_reschedule_with_feasible_reference_changes_nothing():
     theory = parse_theory(text)
     reference = lits(("s", (1, 3)), ("s", (2, 8)))
     best = reschedule(theory, parse_goal("g"), reference,
-                      config=Config(time_budget=5.0))
+                      config=Config(max_steps=1_000))
     assert best.changes == 0
 
 

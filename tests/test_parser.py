@@ -62,8 +62,11 @@ def test_operators_bind_by_strength():
     (lit,) = parse_goal("X #= 1 #\\/ Y #= 2 #/\\ Z #= 3")
     assert lit.constraint == Or(Eq(X, Int(1)),
                                 And(Eq(Y, Int(2)), Eq(Z, Int(3))))
-    (lit,) = parse_goal("X - 1 + 2 #<= Y")
-    assert lit.constraint == Le(Struct("+", (Struct("-", (X, Int(1))), Int(2))), Y)
+    (lit,) = parse_goal("X - 1 #<= Y + 2")
+    assert lit.constraint == Le(Struct("-", (X, Int(1))), Struct("+", (Y, Int(2))))
+    (lit,) = parse_goal("X - 1 + 2 ##= Y")
+    assert lit.constraint == TermEq(
+        Struct("+", (Struct("-", (X, Int(1))), Int(2))), Y)
 
 
 def test_parse_arith_offsets():
@@ -224,6 +227,26 @@ ERROR_TABLE = [
      [(1, 5, "syntax", "expected ')', found '+'")]),
     (parse_theory, "g :- X :: 1 #< 2..5.",
      [(1, 13, "syntax", "expected '..', found '#<'")]),
+    (parse_theory, "p(1).\nabducible_predicate(a/0).\n\na :- p(1).\n",
+     [(4, 1, "validation", "ABDUCIBLE_HAS_CLAUSES: a/0 is declared "
+       "abducible but has defining clauses")]),
+    (parse_theory, "abducible_predicate(b/0).\nabducible_predicate(a/0).\n"
+                   "a.\nb :- a.\n",
+     [(3, 1, "validation", "ABDUCIBLE_HAS_CLAUSES: a/0 is declared "
+       "abducible but has defining clauses"),
+      (4, 1, "validation", "ABDUCIBLE_HAS_CLAUSES: b/0 is declared "
+       "abducible but has defining clauses")]),
+    (parse_theory, "abducible_predicate(a/0).\np(1).\n  ic :- p(1).\n",
+     [(3, 3, "validation",
+       "IC_WITHOUT_ABDUCIBLE: no abducible body literal in ic :- p(1).")]),
+    (parse_theory, "g :- X #= Y + a.",
+     [(1, 8, "syntax", "non-scalar operand Y + a of #=")]),
+    (parse_theory, "g :- X - 1 + 2 #<= Y.",
+     [(1, 16, "syntax", "non-scalar operand X - 1 + 2 of #<=")]),
+    (parse_theory, "g :- Y #> 2 #\\/ X ## f(Y).",
+     [(1, 19, "syntax", "non-scalar operand f(Y) of ##")]),
+    (parse_goal, "X #< a + 1",
+     [(1, 3, "syntax", "non-scalar operand a + 1 of #<")]),
 ]
 
 
