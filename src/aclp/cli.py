@@ -17,9 +17,8 @@ from .corpus import (first_ground, generate_blocks, generate_jobshop,
                      reschedule_case)
 from .optimize import (GroundAnswer, change_count, find_cost_var, minimize,
                        reschedule)
-from .parser import (format_constraint, format_literal, format_term,
-                     parse_facts, parse_goal, parse_theory)
-from .terms import AclpError
+from .parser import parse_facts, parse_goal, parse_theory
+from .terms import AclpError, format_constraint, format_literal, format_term
 from .theory import compile_naf
 from .validators import (extract_moves, extract_starts, validate_blocks_plan,
                          validate_jobshop_schedule)

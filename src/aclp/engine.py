@@ -60,16 +60,16 @@ from .store import (DEFAULT_HI, DEFAULT_LO, And, AtomDomain, ConstraintStore,
                     negate)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
-                    UnknownPredicateError, map_literal, rename_conjunction,
+                    UnknownPredicateError, _renamer, as_written,
+                    map_literal, rename_conjunction,
                     standardize_apart, standardize_ic, term_vars,
                     unify_terms)
-from .parser import format_literal
 from .theory import AbductiveTheory
 
 
 class InitialHypothesisInconsistentError(AclpError):
     def __init__(self, hyp):
-        super().__init__(f"INITIAL_HYPOTHESIS_INCONSISTENT: {hyp!r}")
+        super().__init__(f"INITIAL_HYPOTHESIS_INCONSISTENT: {as_written(hyp)}")
         self.hyp = hyp
 
 
@@ -145,6 +145,22 @@ class _Match:
     """Pending head/hypothesis argument match inside a failure derivation."""
     a: tuple
     b: tuple
+
+
+def _value(t):
+    """The value of `t` when it is an integer or a `+`/`-` tree over
+    integers, else None; a stack, not recursion, reads the tree."""
+    total, stack = 0, [(t, 1)]            # (subterm, its sign in the sum)
+    while stack:
+        t, sign = stack.pop()
+        if isinstance(t, Int):
+            total += sign * t.value
+        elif isinstance(t, Struct) and t.functor in ("+", "-") and t.arity == 2:
+            a, b = t.args
+            stack += [(a, sign), (b, sign if t.functor == "+" else -sign)]
+        else:
+            return None
+    return total
 
 
 def _key(t):
@@ -309,11 +325,10 @@ class Solver:
     def _is_local(self, v: Var) -> bool:
         return v.id in self.local_ids
 
-    def _renamable(self, t) -> bool:
-        """Whether `t`, walked, is what `_fresh_locals` renames: an
-        unbound local variable without a domain."""
-        return (isinstance(t, Var) and t.id in self.local_ids
-                and not self.store.has_domain(t))
+    def _kept(self, v: Var) -> bool:
+        """Whether `_fresh_locals` keeps the unbound variable `v`: it is
+        not local, or it has a domain."""
+        return v.id not in self.local_ids or self.store.has_domain(v)
 
     def _fresh_locals(self, items):
         """Copies of the literals `items` under the substitution, with
@@ -328,19 +343,10 @@ class Solver:
         conjunction, and `_fail_conj` consumes it before any copy of the
         rest is made.
         """
-        mapping: dict = {}
-
-        def rename(t):
-            t = self.subst.walk(t)
-            if not self._renamable(t):
-                return t
-            if t.id not in mapping:
-                nv = self.counter.fresh(t.name)
-                self.local_ids.add(nv.id)
-                mapping[t.id] = nv
-            return mapping[t.id]
-
-        return [map_literal(i, rename) for i in items]
+        rename, mapping = _renamer(self.counter, self.subst.walk, self._kept)
+        fresh = [map_literal(i, rename) for i in items]
+        self.local_ids.update(v.id for v in mapping.values())
+        return fresh
 
     def _resolve_lit(self, lit):
         return self.subst.resolve_literal(lit)
@@ -391,7 +397,7 @@ class Solver:
         lit = initial[i]
         if not isinstance(lit, UserLit):
             raise AclpError(
-                f"initial hypothesis {format_literal(lit)} is not an atom")
+                f"initial hypothesis {as_written(lit)} is not an atom")
         if not self.theory.is_abducible(lit.name, lit.arity):
             raise InitialHypothesisInconsistentError(lit)
         produced = False
@@ -455,7 +461,8 @@ class Solver:
             return proceed if self._declare(lit) else None
 
         if isinstance(lit, NafLit):
-            raise AclpError(f"uncompiled NAF literal {lit!r}; run compile_naf first")
+            raise AclpError(f"uncompiled NAF literal {as_written(lit)}; "
+                            "run compile_naf first")
 
         key = lit.indicator
         if key in _BUILTINS:
@@ -505,10 +512,11 @@ class Solver:
             if isinstance(var, Atom):
                 return dom.contains(var.name)
         else:
-            lo, hi = self.subst.resolve(decl.lo), self.subst.resolve(decl.hi)
-            if not isinstance(lo, Int) or not isinstance(hi, Int):
-                raise AclpError(f"non-ground domain bounds in {decl!r}")
-            dom = IntDomain.range(lo.value, hi.value)
+            lo = _value(self.subst.resolve(decl.lo))
+            hi = _value(self.subst.resolve(decl.hi))
+            if lo is None or hi is None:
+                raise AclpError(f"non-ground domain bounds in {as_written(decl)}")
+            dom = IntDomain.range(lo, hi)
             if isinstance(var, Int):
                 return dom.contains(var.value)
         if not isinstance(var, Var):
@@ -620,7 +628,8 @@ class Solver:
             return k
 
         if isinstance(lit, NafLit):
-            raise AclpError(f"uncompiled NAF literal {lit!r} in integrity constraint")
+            raise AclpError(f"uncompiled NAF literal {as_written(lit)} "
+                            "in integrity constraint")
 
         key = lit.indicator
         if key in _BUILTINS:

@@ -10,9 +10,9 @@ from typing import Iterable, Optional
 
 from .engine import (Answer, Config, InitialHypothesisInconsistentError,
                      _Index, solve)
-from .parser import format_literal
 from .store import AtomDomain, Lt
-from .terms import AclpError, Atom, Int, Struct, UserLit, Var, is_ground
+from .terms import (AclpError, Atom, Int, Struct, UserLit, Var, as_written,
+                    is_ground)
 
 
 # search steps per re-solve of `reschedule` when its config sets none: every
@@ -141,7 +141,7 @@ class _Reference:
                 continue
             if not all(map(is_ground, lit.args)):
                 raise AclpError(f"reference hypothesis "
-                                f"{format_literal(lit)} is not ground")
+                                f"{as_written(lit)} is not ground")
             slot = self.slot.setdefault(lit, len(self.counts))
             if slot == len(self.counts):    # a literal not met before
                 self.counts.append(0)

@@ -1,4 +1,4 @@
-"""Parser and pretty-printer for ACLP source text.
+"""Parser for ACLP source text, and `format_theory`, its inverse.
 
 Prolog-like clause syntax with the finite-domain constraint operators
 (`##`, `#=`, `#<`, `#<=`, `#>`, `#>=`, `##=`, `#/\\`, `#\\/`), `::` domain
@@ -25,10 +25,13 @@ import re
 from dataclasses import dataclass
 
 from .store import (And, Constraint, Eq, Ge, Gt, Le, Lt, Neq, Or, TermEq,
-                    TermNeq, never_scalar, spell_constraint)
+                    never_scalar)
+# the printers live in terms.py; format_constraint, format_literal and
+# format_term are imported so that aclp.parser names them too
 from .terms import (AclpError, Atom, Clause, ConstraintLit, DomainDecl, Int,
                     IntegrityConstraint, NafLit, Struct, UserLit, Var,
-                    spell)
+                    as_written, format_clause, format_constraint,
+                    format_literal, format_term)
 from .theory import AbductiveTheory
 
 
@@ -237,7 +240,7 @@ class _Parser:
                 if op != TermEq.op and never_scalar(t):
                     raise ParseFailure([_error(
                         self.text, offset,
-                        f"non-scalar operand {_message_term(t)} of {op}")])
+                        f"non-scalar operand {as_written(t)} of {op}")])
             return _COMPARISONS[op](left, right)
         if not isinstance(right, Constraint):
             self.fail("expected a constraint operator")
@@ -272,7 +275,7 @@ class _Parser:
             if term.functor in ("+", "-"):
                 self.fail("arithmetic term is not a valid goal")
             return UserLit(term.functor, term.args)
-        self.fail(f"expected a goal, found {_message_term(term)}")
+        self.fail(f"expected a goal, found {as_written(term)}")
 
     def parse_domain_decl(self, var):
         if self.peek() == "[":
@@ -344,7 +347,7 @@ def parse_theory(text: str) -> AbductiveTheory:
                 theory.abducibles.add((spec.args[0].name, spec.args[1].value))
             else:
                 errors.append(_error(text, start,
-                                     f"malformed abducible declaration {_message_term(spec)}",
+                                     f"malformed abducible declaration {as_written(spec)}",
                                      "validation"))
         else:
             starts[id(item)] = start
@@ -386,71 +389,12 @@ def parse_facts(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printing (round-trips through parse_theory)
+# Printing a theory (the printers of its parts are in terms.py)
 # ---------------------------------------------------------------------------
 
-def _format_leaf(t) -> str:
-    if isinstance(t, Var):
-        return t.name if t.name != "_" else f"_A{t.id}"
-    if isinstance(t, Int):
-        return str(t.value)
-    if isinstance(t, Atom):
-        return t.name
-    raise TypeError(t)
-
-
-def format_term(t) -> str:
-    return spell(t, _format_leaf, ("+", "-"))
-
-
-def _message_term(t) -> str:
-    """`t` as written in the source, for an error message: an anonymous
-    variable is `_`, where `format_term` names it by id to keep it apart
-    from the others."""
-    return spell(t, lambda u: "_" if isinstance(u, Var) and u.name == "_"
-                 else _format_leaf(u), ("+", "-"))
-
-
-def _format_comparison(c) -> str:
-    if isinstance(c, TermNeq):
-        raise ValueError(f"constraint {c!r} has no surface syntax")
-    return f"{format_term(c.a)} {c.op} {format_term(c.b)}"
-
-
-def format_constraint(c) -> str:
-    """Source text of a constraint; nested connectives are bracketed."""
-    text = spell_constraint(c, _format_comparison)
-    return text[1:-1] if isinstance(c, (And, Or)) else text
-
-
-def format_literal(lit) -> str:
-    if isinstance(lit, UserLit):
-        return format_term(Struct(lit.name, lit.args)) if lit.args else lit.name
-    if isinstance(lit, NafLit):
-        return f"not({format_literal(lit.inner)})"
-    if isinstance(lit, ConstraintLit):
-        return format_constraint(lit.constraint)
-    if isinstance(lit, DomainDecl):
-        if lit.atoms is not None:
-            return (f"{format_term(lit.var)} :: "
-                    f"[{','.join(a.name for a in lit.atoms)}]")
-        return f"{format_term(lit.var)} :: {format_term(lit.lo)}..{format_term(lit.hi)}"
-    raise TypeError(lit)
-
-
-def format_clause(clause: Clause) -> str:
-    head = format_literal(clause.head)
-    if not clause.body:
-        return f"{head}."
-    return f"{head} :- {', '.join(format_literal(b) for b in clause.body)}."
-
-
 def format_theory(theory: AbductiveTheory) -> str:
-    lines = []
-    for name, arity in sorted(theory.abducibles):
-        lines.append(f"abducible_predicate({name}/{arity}).")
-    for clause in theory.all_clauses():
-        lines.append(format_clause(clause))
-    for ic in theory.ics:
-        lines.append(f"ic :- {', '.join(format_literal(b) for b in ic.body)}.")
+    lines = [f"abducible_predicate({name}/{arity})."
+             for name, arity in sorted(theory.abducibles)]
+    lines += map(format_clause, theory.all_clauses())
+    lines += map(format_clause, theory.ics)
     return "\n".join(lines) + "\n"

@@ -45,8 +45,8 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
-from .terms import (AclpError, Atom, Int, Struct, Term, Var, is_ground,
-                    map_term, term_vars)
+from .terms import (AclpError, Atom, Int, Struct, Term, Var, as_written,
+                    is_ground, map_term, term_vars)
 
 
 class StoreTypeError(AclpError):
@@ -458,7 +458,8 @@ def _arg_pairs(a: Term, b: Term) -> Optional[list]:
             if x != y:
                 return None
         elif isinstance(x, Struct) or isinstance(y, Struct):
-            raise StoreTypeError(f"##= argument nested too deep: {x!r} / {y!r}")
+            raise StoreTypeError("##= argument nested too deep: "
+                                 f"{as_written(x)} / {as_written(y)}")
         else:
             pairs.append((x, y))
     return pairs
@@ -634,7 +635,7 @@ class ConstraintStore:
         """Give default integer domains to undeclared arithmetic variables."""
         a, b = self._operand(c.a), self._operand(c.b)
         if a is None or b is None:
-            raise StoreTypeError(f"non-scalar operand in {c!r}")
+            raise StoreTypeError(f"non-scalar operand in {as_written(c)}")
         for (x, _, _), (y, _, dy) in ((a, b), (b, a)):
             if x is not None and not self.has_domain(x):
                 if isinstance(c, _ARITH) or not isinstance(dy, AtomDomain):
@@ -762,7 +763,7 @@ class ConstraintStore:
             return self._prune_or(idx, c)
         a, b = self._operand(c.a), self._operand(c.b)
         if a is None or b is None:
-            raise StoreTypeError(f"non-scalar operand in {c!r}")
+            raise StoreTypeError(f"non-scalar operand in {as_written(c)}")
         return self._prune_scalar(c, a, b)
 
     def _prune_scalar(self, c: Constraint, a, b) -> str:

@@ -1,9 +1,16 @@
-"""Terms, literals, clauses and substitution-based unification.
+"""Terms, literals, clauses, substitution-based unification, renaming
+apart, and printing in source syntax.
 
 Terms are immutable; all mutation during a derivation goes through a
 Substitution (a trailed binding map) so that backtracking can undo it.
 Variables attached to a finite domain are never bound directly: equating
 them is delegated to the constraint store so propagation sees it.
+
+The `format_*` printers give a term, constraint, literal or clause in
+source syntax, and every error message prints through them, by
+`as_written`, so it names terms as the user wrote them.  The `repr` of a
+term, a user literal or a constraint names each variable by its id; it
+serves the Δ records and `ConstraintStore.render`.
 """
 
 from __future__ import annotations
@@ -112,28 +119,6 @@ def term_vars(t: Term) -> Iterator[Var]:
             stack.extend(reversed(t.args))
 
 
-def spell(t: Term, leaf, infix=()) -> str:
-    """Text of `t`: leaf(s) for each non-Struct subterm s, `f(a,b)` for a
-    struct, and `a f b` for a binary struct whose functor is in `infix`."""
-    out, stack = [], [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            out.append(t)
-        elif not isinstance(t, Struct):
-            out.append(leaf(t))
-        elif t.functor in infix and len(t.args) == 2:
-            stack += [t.args[1], f" {t.functor} ", t.args[0]]
-        else:
-            out.append(t.functor + "(")
-            stack.append(")")
-            for i in range(len(t.args) - 1, -1, -1):
-                stack.append(t.args[i])
-                if i:
-                    stack.append(",")
-    return "".join(out)
-
-
 def map_term(t: Term, f) -> Term:
     """Copy of `t` with every subterm s replaced by f(s), outermost first;
     the arguments of a Struct that f returns are mapped in turn."""
@@ -200,18 +185,12 @@ class UserLit:
 class ConstraintLit:
     constraint: "object"  # store.Constraint; kept loose to avoid a cycle
 
-    def __repr__(self):
-        return repr(self.constraint)
-
 
 @dataclass(frozen=True, slots=True)
 class NafLit:
     """Surface syntax only: compiled away before execution."""
 
     inner: UserLit
-
-    def __repr__(self):
-        return f"not({self.inner!r})"
 
 
 Literal = Union[UserLit, ConstraintLit, NafLit]
@@ -226,29 +205,16 @@ class DomainDecl:
     hi: Term
     atoms: Optional[tuple] = None  # set when declared over an atom list
 
-    def __repr__(self):
-        if self.atoms is not None:
-            return f"{self.var!r} :: [{','.join(map(repr, self.atoms))}]"
-        return f"{self.var!r} :: {self.lo!r}..{self.hi!r}"
-
 
 @dataclass(frozen=True, slots=True)
 class Clause:
     head: UserLit
     body: tuple
 
-    def __repr__(self):
-        if not self.body:
-            return f"{self.head!r}."
-        return f"{self.head!r} :- {', '.join(map(repr, self.body))}."
-
 
 @dataclass(frozen=True, slots=True)
 class IntegrityConstraint:
     body: tuple
-
-    def __repr__(self):
-        return f"ic :- {', '.join(map(repr, self.body))}."
 
 
 def map_literal(lit: Literal, f) -> Literal:
@@ -264,6 +230,100 @@ def map_literal(lit: Literal, f) -> Literal:
         return DomainDecl(map_term(lit.var, f), map_term(lit.lo, f),
                           map_term(lit.hi, f), lit.atoms)
     raise TypeError(lit)
+
+
+# ---------------------------------------------------------------------------
+# Printing: source syntax, which round-trips through parser.parse_theory
+# ---------------------------------------------------------------------------
+
+def spell(t: Term, leaf, infix=()) -> str:
+    """Text of `t`: leaf(s) for each non-Struct subterm s, `f(a,b)` for a
+    struct, and `a f b` for a binary struct whose functor is in `infix`."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif not isinstance(t, Struct):
+            out.append(leaf(t))
+        elif t.functor in infix and len(t.args) == 2:
+            stack += [t.args[1], f" {t.functor} ", t.args[0]]
+        else:
+            out.append(t.functor + "(")
+            stack.append(")")
+            for i in range(len(t.args) - 1, -1, -1):
+                stack.append(t.args[i])
+                if i:
+                    stack.append(",")
+    return "".join(out)
+
+
+def _format_leaf(t) -> str:
+    if isinstance(t, Var):
+        return t.name if t.name != "_" else f"_A{t.id}"
+    if isinstance(t, Int):
+        return str(t.value)
+    if isinstance(t, Atom):
+        return t.name
+    raise TypeError(t)
+
+
+def _written_leaf(t) -> str:
+    # an anonymous variable as written, where `_format_leaf` names it by id
+    # to keep it apart from the others
+    return "_" if isinstance(t, Var) and t.name == "_" else _format_leaf(t)
+
+
+def format_term(t, leaf=_format_leaf) -> str:
+    return spell(t, leaf, ("+", "-"))
+
+
+def _format_comparison(c, leaf) -> str:
+    if isinstance(c, _store.TermNeq):
+        raise ValueError(f"constraint {c!r} has no surface syntax")
+    return f"{format_term(c.a, leaf)} {c.op} {format_term(c.b, leaf)}"
+
+
+def format_constraint(c, leaf=_format_leaf) -> str:
+    """Source text of a constraint; nested connectives are bracketed."""
+    text = _store.spell_constraint(c, lambda x: _format_comparison(x, leaf))
+    return text[1:-1] if isinstance(c, (_store.And, _store.Or)) else text
+
+
+def format_literal(lit, leaf=_format_leaf) -> str:
+    """Source text of a literal; a term prints as `format_term` prints it."""
+    if isinstance(lit, NafLit):
+        return f"not({format_literal(lit.inner, leaf)})"
+    if isinstance(lit, ConstraintLit):
+        return format_constraint(lit.constraint, leaf)
+    if isinstance(lit, DomainDecl):
+        var = format_term(lit.var, leaf)
+        if lit.atoms is not None:
+            return f"{var} :: [{','.join(a.name for a in lit.atoms)}]"
+        return f"{var} :: {format_term(lit.lo, leaf)}..{format_term(lit.hi, leaf)}"
+    if isinstance(lit, UserLit):
+        lit = Struct(lit.name, lit.args) if lit.args else Atom(lit.name)
+    return format_term(lit, leaf)
+
+
+def format_clause(clause, leaf=_format_leaf) -> str:
+    """Source text of a clause or an integrity constraint."""
+    body = ", ".join(format_literal(b, leaf) for b in clause.body)
+    if isinstance(clause, IntegrityConstraint):
+        return f"ic :- {body}."
+    head = format_literal(clause.head, leaf)
+    return f"{head} :- {body}." if body else f"{head}."
+
+
+def as_written(x) -> str:
+    """`x`, a term, constraint, literal, clause or IC, in source syntax for
+    an error message: as `format_*` prints it, but with an anonymous
+    variable as `_`."""
+    if isinstance(x, (Clause, IntegrityConstraint)):
+        return format_clause(x, _written_leaf)
+    if isinstance(x, _store.Constraint):
+        return format_constraint(x, _written_leaf)
+    return format_literal(x, _written_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +450,17 @@ def unify(t1: Term, t2: Term, store) -> Optional[tuple]:
 # Standardize apart
 # ---------------------------------------------------------------------------
 
-def _renamer(counter: VarCounter):
-    """(rename, mapping) for one renaming: rename maps each variable to a
-    fresh one, the same one every time, recorded in mapping, and leaves
+def _renamer(counter: VarCounter, walk=None, keeps=None):
+    """(rename, mapping) for one renaming: rename maps each variable, first
+    walked by `walk` when one is given, to a fresh one, the same one every
+    time, recorded in mapping, unless keeps(variable) holds; it leaves
     every other subterm alone."""
     mapping: dict[int, Var] = {}
 
     def rename(t):
-        if not isinstance(t, Var):
+        if walk is not None:
+            t = walk(t)
+        if not isinstance(t, Var) or keeps is not None and keeps(t):
             return t
         if t.id not in mapping:
             mapping[t.id] = counter.fresh(t.name)

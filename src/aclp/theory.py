@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .terms import (AclpError, Atom, Clause, IntegrityConstraint, Literal,
-                    NafLit, UserLit, Var, VarCounter)
+from .terms import (AclpError, Clause, IntegrityConstraint, Literal, NafLit,
+                    UserLit, VarCounter, as_written)
 
 
 class TheoryError(AclpError):
@@ -62,7 +62,7 @@ class AbductiveTheory:
             if not any(self._counts_as_abducible(lit) for lit in ic.body):
                 errors.append(TheoryError(
                     "IC_WITHOUT_ABDUCIBLE",
-                    f"no abducible body literal in {ic!r}", ic))
+                    f"no abducible body literal in {as_written(ic)}", ic))
         return errors
 
     def _counts_as_abducible(self, lit: Literal) -> bool:

@@ -8,7 +8,7 @@ overlaps and unavailability-window violations.
 from __future__ import annotations
 
 from .corpus import BlocksInstance, JobshopInstance, _clear_set
-from .terms import Atom, Int, Struct, UserLit
+from .terms import Atom, Int, Struct, UserLit, as_written
 
 
 def extract_moves(delta) -> list:
@@ -20,10 +20,10 @@ def extract_moves(delta) -> list:
         t, action = lit.args
         if not (isinstance(t, Int) and isinstance(action, Struct)
                 and action.functor == "move" and action.arity == 3):
-            raise ValueError(f"not a ground move action: {lit!r}")
+            raise ValueError(f"not a ground move action: {as_written(lit)}")
         x, frm, to = (a.name if isinstance(a, Atom) else None for a in action.args)
         if None in (x, frm, to):
-            raise ValueError(f"non-atomic move arguments: {lit!r}")
+            raise ValueError(f"non-atomic move arguments: {as_written(lit)}")
         moves.append((t.value, x, frm, to))
     return moves
 
@@ -72,7 +72,7 @@ def extract_starts(delta) -> dict:
         name, s = lit.args
         if not (isinstance(name, Atom) and name.name.startswith("t")
                 and isinstance(s, Int)):
-            raise ValueError(f"not a ground start: {lit!r}")
+            raise ValueError(f"not a ground start: {as_written(lit)}")
         index = int(name.name[1:])
         if index in starts and starts[index] != s.value:
             raise ValueError(f"two start times for task {index}")

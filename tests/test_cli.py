@@ -1,6 +1,7 @@
 """Command-line behavior: modes, exit codes, output formats."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -339,3 +340,33 @@ def test_a_job_shop_stream_repeats_no_answer(tmp_path, capsys):
                        "--all", "4", "--json")
     docs = [json.dumps(d, sort_keys=True) for d in json.loads(out)["answers"]]
     assert code == 0 and len(docs) == len(set(docs)) == 4
+
+
+@pytest.mark.parametrize("program, facts, line", [
+    ("p(1).\nic :- p(X).\n", None,
+     "2:1: validation error: IC_WITHOUT_ABDUCIBLE: "
+     "no abducible body literal in ic :- p(X)."),
+    ("p(1).\nic :- p(_).\n", None,
+     "2:1: validation error: IC_WITHOUT_ABDUCIBLE: "
+     "no abducible body literal in ic :- p(_)."),
+    ("g :- X :: 0..3, Y :: 0..3, X + Y #= 2.\n", None,
+     "non-scalar operand in X + Y #= 2"),
+    ("abducible_predicate(a/1).\ng :- a(1).\n", "b(X).\n",
+     "INITIAL_HYPOTHESIS_INCONSISTENT: b(X)"),
+    ("g :- X :: Y..5.\n", None, "non-ground domain bounds in X :: Y..5"),
+    ("g :- X :: f(_)..5.\n", None,
+     "non-ground domain bounds in X :: f(_)..5"),
+], ids=["ic", "ic-anonymous", "non-scalar", "initial", "bounds",
+        "bounds-anonymous"])
+def test_each_message_names_terms_as_written(tmp_path, capsys, program,
+                                             facts, line):
+    prog = tmp_path / "m.aclp"
+    prog.write_text(program)
+    argv = ["solve", str(prog), "--goal", "g"]
+    if facts is not None:
+        init = tmp_path / "m.facts"
+        init.write_text(facts)
+        argv += ["--initial", str(init)]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (2, line + "\n")
+    assert not re.search(r"#\d|_A\d", err)

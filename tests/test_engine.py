@@ -18,7 +18,7 @@ from aclp.engine import (DepthLimitExceededError,
                          InitialHypothesisInconsistentError, Solver, ic_order)
 from aclp.parser import format_literal
 from aclp.store import IntDomain, StoreTypeError
-from aclp.terms import (Atom, Int, IntegrityConstraint, Struct,
+from aclp.terms import (AclpError, Atom, Int, IntegrityConstraint, Struct,
                         Substitution, UnknownPredicateError, UserLit, Var)
 
 from oracles import (canonical_ids, random_naf_program_text,
@@ -150,6 +150,50 @@ def test_operand_made_scalar_by_a_binding_solves():
     # left unbound, the store rejects it
     with pytest.raises(StoreTypeError, match="non-scalar operand"):
         answers("g :- X :: 0..3, Y :: 0..3, X + Y #= 2.", "g")
+
+
+def test_range_bounds_written_with_plus_and_minus_are_evaluated():
+    n = 2 * sys.getrecursionlimit()
+    text = f"""
+        abducible_predicate(a/1).
+        n(4).
+        g :- X :: 1 + 1..5, a(X).
+        h :- n(N), X :: 0..N - 1, a(X).
+        k :- X :: 0{" + 1" * n}..{n} - 0 + 2, a(X).
+    """
+    for goal, dom in (("g", IntDomain.range(2, 5)),
+                      ("h", IntDomain.range(0, 3)),
+                      ("k", IntDomain.range(n, n + 2))):
+        (ans,) = answers(text, goal)
+        (x,) = ans.delta[0].args
+        assert ans.store.domains[x.id] == dom
+
+
+@pytest.mark.parametrize("decl", ["X :: Y..5", "X :: f(1)..5",
+                                  "X :: 1..a + 1"])
+def test_range_bounds_that_are_no_integers_are_an_error(decl):
+    with pytest.raises(AclpError) as e:
+        answers(f"g :- {decl}.", "g")
+    assert str(e.value) == f"non-ground domain bounds in {decl}"
+
+
+def test_a_goal_term_equality_unifies():
+    text = """
+        abducible_predicate(a/1).
+        p(f(1)).
+        g :- X ##= f(Y), p(X), a(Y).
+        h :- X ##= f(Y), X ##= g(Y).
+    """
+    assert [a.delta for a in answers(text, "g")] == \
+        [(UserLit("a", (Int(1),)),)]
+    assert answers(text, "h") == []
+
+
+def test_a_failed_domain_declaration_refutes_an_ic_body():
+    text = "abducible_predicate(a/1).\nic :- a(X), X :: 5..9."
+    assert [a.delta for a in answers(text, "a(1)")] == \
+        [(UserLit("a", (Int(1),)),)]
+    assert answers(text, "a(6)") == []
 
 
 def test_ground_ic_body_cannot_be_refuted():
@@ -346,6 +390,13 @@ def test_depth_limit_signals_incompleteness():
     theory = parse_theory("p :- p.")
     with pytest.raises(DepthLimitExceededError):
         list(solve(theory, parse_goal("p"), config=Config(max_depth=50)))
+
+
+def test_depth_limit_inside_the_consistency_derivation():
+    theory = parse_theory("abducible_predicate(a/0).\nic :- a, loop.\n"
+                          "loop :- loop.\ng :- a.")
+    with pytest.raises(DepthLimitExceededError):
+        list(solve(theory, parse_goal("g"), config=Config(max_depth=50)))
 
 
 def test_depth_limit_not_raised_when_answers_exist():

@@ -531,3 +531,11 @@ def test_store_matches_brute_force_on_fixed_seeds():
         expect = brute_force_solutions(domains, constraints)
         got = store_solutions(store, vars_) if ok else set()
         assert got == expect, f"seed {seed}"
+
+
+def test_equal_disjunction_chains_hash_equal():
+    x = Var("X", 0)
+    a = b = Eq(x, Int(0))
+    for i in range(1, 5000):
+        a, b = Or(a, Eq(x, Int(i))), Or(b, Eq(x, Int(i)))
+    assert a is not b and a == b and hash(a) == hash(b)

@@ -105,3 +105,10 @@ def test_term_vars_and_is_ground():
 def test_literal_indicator():
     assert UserLit("p", (Int(1), Int(2))).indicator == ("p", 2)
     assert UserLit("q", ()).indicator == ("q", 0)
+
+
+def test_equal_terms_nested_deeper_than_the_recursion_limit_hash_equal():
+    a = b = Atom("z")
+    for _ in range(5000):
+        a, b = Struct("s", (a,)), Struct("s", (b,))
+    assert a is not b and a == b and hash(a) == hash(b)

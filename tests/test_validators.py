@@ -1,7 +1,9 @@
 """Plan and schedule validators, exercised on hand-built traces."""
 
+import pytest
+
 from aclp.corpus import BlocksInstance, JobshopInstance, Task
-from aclp.terms import Atom, Int, Struct, UserLit
+from aclp.terms import Atom, Int, Struct, UserLit, Var
 from aclp.validators import (extract_moves, extract_starts,
                              validate_blocks_plan, validate_jobshop_schedule)
 
@@ -153,3 +155,14 @@ def test_extract_starts_detects_conflicts():
     else:
         raise AssertionError("expected ValueError")
     assert extract_starts((start("t1", 0), start("t1", 0))) == {1: 0}
+
+
+def test_a_reason_names_the_literal_as_written():
+    plan = (UserLit("act", (Var("T", 0), Struct("move", (
+        Atom("b1"), Atom("p1"), Atom("p2"))))),)
+    inst = three_blocks({"b1": "p1", "b2": "b1", "b3": "b2"},
+                        {"b1": "p1", "b2": "b1", "b3": "b2"})
+    assert validate_blocks_plan(inst, plan) == (
+        False, "not a ground move action: act(T,move(b1,p1,p2))")
+    with pytest.raises(ValueError, match=r"^not a ground start: start\(t1,_\)$"):
+        extract_starts((UserLit("start", (Atom("t1"), Var("_", 3))),))
