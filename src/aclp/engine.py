@@ -61,7 +61,7 @@ from .store import (DEFAULT_HI, DEFAULT_LO, And, AtomDomain, ConstraintStore,
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
                     UnknownPredicateError, _renamer, as_written,
-                    map_literal, rename_conjunction,
+                    is_ground, map_literal, rename_conjunction,
                     standardize_apart, standardize_ic, term_vars,
                     unify_terms)
 from .theory import AbductiveTheory
@@ -515,6 +515,10 @@ class Solver:
             lo = _value(self.subst.resolve(decl.lo))
             hi = _value(self.subst.resolve(decl.hi))
             if lo is None or hi is None:
+                bound = self.subst.resolve(decl.lo if lo is None else decl.hi)
+                if is_ground(bound):
+                    raise AclpError(f"domain bound {as_written(bound)} is not "
+                                    f"an integer in {as_written(decl)}")
                 raise AclpError(f"non-ground domain bounds in {as_written(decl)}")
             dom = IntDomain.range(lo, hi)
             if isinstance(var, Int):

@@ -5,26 +5,23 @@ Constraints are immutable values; the store holds the mutable state:
 variable domains, the set of active constraints and a trail so that
 snapshot/restore is exact.  Propagation runs to fixpoint after every post:
 bounds consistency for the order constraints, arc consistency for equality
-and disequality.  A disjunction is pruned in every pass: a side whose
-comparisons are all fixed is decided by their truth, and each other side
-is probed by posting it under a snapshot, except inside such a probe; the
-disjunction is entailed by a true side and replaced by its one satisfiable
-side.
+and disequality.  A disjunction is pruned once nothing else is woken: a
+side whose comparisons are all fixed is decided by their truth, and each
+other side is probed by posting it under a snapshot, except inside such a
+probe; the disjunction is entailed by a true side and replaced by its one
+satisfiable side.
 
 Propagation is driven by an agenda of woken constraint indices.  Every
 constraint but a disjunction sits on the watch list of each variable it
 names: a domain write wakes the watchers of its variable, and adding a
-constraint wakes it.  A pass prunes the woken constraints in increasing
-index order; one woken at or before the index being pruned waits for the
-next pass, and passes go on while a pass writes a domain.  A
-disjunction's probe reads the whole store, so every pass prunes every
-disjunction.  Each propagation call starts a new pass; a call made while
-a pass runs (a pruner posting or declaring) then hands back to that
-pass, which goes on over the disjunctions after its position.  This
-prunes in the order of a sweep over every constraint, repeated until a
-sweep writes nothing, leaving out only the prunes that could not change
-anything: those of comparisons whose variables have not been written
-since they were last pruned.
+constraint wakes it.  One loop prunes the woken constraints, lowest index
+first, until none is left; then it prunes each active disjunction once,
+in index order, and starts over as soon as one wakes a constraint or
+posts its surviving side.  A disjunction's probe reads the whole store,
+so probes run only once the cheap pruners are at their fixpoint.  A
+propagation called while the loop runs (a pruner posting or declaring)
+only adds and wakes its constraints, and leaves the pruning to the loop; a
+probe runs a loop of its own.
 
 Scalar constraint arguments may carry an integer offset (``X + 3``), which
 is what scheduling programs need to relate start times and durations.  The
@@ -38,10 +35,9 @@ atom is a type error, inside a disjunction too.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
@@ -389,8 +385,9 @@ def map_constraint(c: Constraint, f) -> Constraint:
 
 def _watched(c: Constraint):
     """The ids of the variables whose writes wake `c`, each once: those its
-    operands name, none for a disjunction, which every pass prunes.  The
-    store holds no other connective."""
+    operands name, none for a disjunction, which the propagation loop
+    prunes once the rest is at fixpoint.  The store holds no other
+    connective."""
     if isinstance(c, Or):
         return ()
     ids = {}
@@ -489,11 +486,10 @@ class ConstraintStore:
         # in increasing order; the disjunctions' indices are kept apart
         self._watch: dict[int, list[int]] = {}
         self._ors: list[int] = []
-        # the agenda
-        self._pos = -1          # index the running pass prunes; -1 between
-        self._now: list[int] = []   # heap of indices woken after _pos
-        self._later: set[int] = set()   # indices woken at or before _pos
-        self._wrote = False     # the running pass wrote a domain
+        # the agenda: a heap of the woken indices, each waiting once
+        self._agenda: list[int] = []
+        self._queued: set[int] = set()
+        self._running = False   # the propagation loop is pruning
 
     # -- trail ---------------------------------------------------------------
 
@@ -530,8 +526,8 @@ class ConstraintStore:
                     del self._watch[vid]
         del self.constraints[clen:]
         del self.states[clen:]
-        self._now.clear()           # what a failed propagation left woken
-        self._later.clear()
+        self._agenda.clear()        # what a failed propagation left woken
+        self._queued.clear()
 
     def _set_domain(self, v: Var, dom: Domain) -> None:
         old = self.domains.get(v.id)
@@ -539,14 +535,14 @@ class ConstraintStore:
         self.domains[v.id] = dom
         if old is None:
             self.var_names[v.id] = v.name
-        self._wrote = True      # so another pass runs
-        pos, states = self._pos, self.states
         for idx in self._watch.get(v.id, ()):
-            if states[idx] == ACTIVE:
-                if idx > pos:
-                    heappush(self._now, idx)
-                else:
-                    self._later.add(idx)
+            if self.states[idx] == ACTIVE:
+                self._wake(idx)
+
+    def _wake(self, idx: int) -> None:
+        if idx not in self._queued:
+            self._queued.add(idx)
+            heappush(self._agenda, idx)
 
     def _set_state(self, idx: int, state: int) -> None:
         self._trail.append(("state", idx, self.states[idx]))
@@ -600,24 +596,15 @@ class ConstraintStore:
         self._enter(c)
         return self._propagate()
 
-    def _add(self, c) -> bool:
-        """Put `c` on the constraint list, prepared as `post` prepares it,
-        for the running propagation pass to prune; False when preparing
-        it empties a domain.  A term (dis)equality waits there as pending
-        until `_prune_pending_term` decomposes it."""
-        for x in _parts(c, And):
-            if isinstance(x, _SCALAR) and not self._prepare_scalar(x):
-                return False
-            self._enter(x)
-        return True
-
     def _enter(self, c: Constraint) -> None:
-        """Append `c` as active, watched and woken."""
+        """Append `c` as active and watched, and wake it unless it is a
+        disjunction, which the loop prunes once the rest is at fixpoint."""
         idx = len(self.constraints)
         self.constraints.append(c)
         self.states.append(ACTIVE)
         self._watch_one(idx, c)
-        heappush(self._now, idx)      # after every index pruned so far
+        if not isinstance(c, Or):
+            self._wake(idx)
 
     def _watch_one(self, idx: int, c: Constraint) -> None:
         if isinstance(c, Or):
@@ -675,61 +662,44 @@ class ConstraintStore:
         return isinstance(t, Var) and not self.has_domain(t)
 
     def _propagate(self) -> bool:
-        """Prune the woken constraints, pass after pass, until a pass writes
-        no domain; False when one fails.  Called while a pass is running,
-        it runs to fixpoint and then hands back to that pass, as a nested
-        sweep over every constraint would: the pass goes on over the
-        disjunctions after its position, and runs once more if this call
-        wrote a domain."""
+        """Prune the woken constraints until none is left, then each active
+        disjunction once, starting over when one of them wakes a constraint
+        or posts its surviving side; False when a pruner fails.  Called
+        while the loop runs, it leaves what its caller added and woke to
+        that loop."""
         if not self.consistent:
             return False
-        outer, outer_wrote = self._pos, self._wrote
-        wrote = False
+        if self._running:
+            return True
+        self._running = True
         try:
+            i = 0                       # the next disjunction, in self._ors
             while True:
-                self._next_pass()
-                while self._now:
-                    idx = heappop(self._now)
-                    if idx <= self._pos:
-                        continue              # woken twice in this pass
-                    self._pos = idx
-                    if self.states[idx] != ACTIVE:
-                        continue
-                    res = self._prune(idx, self.constraints[idx])
-                    if res == "fail":
-                        return self._fail()
-                    if res == "entail":
-                        self._set_state(idx, ENTAILED)
-                if not self._wrote:
-                    break
-                wrote = True
+                if self._agenda:
+                    idx = heappop(self._agenda)
+                    self._queued.discard(idx)
+                elif i < len(self._ors):
+                    idx = self._ors[i]
+                    i += 1
+                else:
+                    return True
+                if self.states[idx] != ACTIVE:
+                    continue
+                size = len(self.constraints)
+                res = self._prune(idx, self.constraints[idx])
+                if res == "fail":
+                    return self._fail()
+                if res == "entail":
+                    self._set_state(idx, ENTAILED)
+                if self._agenda or len(self.constraints) > size:
+                    i = 0               # woke or added: start over
         except StoreTypeError:
             # the constraint stays active and woken: the next propagation
             # meets it again
-            self._later.add(self._pos)
+            self._wake(idx)
             raise
         finally:
-            self._pos = outer
-        if outer >= 0:
-            self._wrote = outer_wrote or wrote
-            self._wake_ors(outer)
-        return True
-
-    def _next_pass(self) -> None:
-        if self._later:
-            self._now += self._later
-            self._later.clear()
-            heapify(self._now)
-        self._pos = -1
-        self._wrote = False
-        if self._ors:
-            self._wake_ors(-1)
-
-    def _wake_ors(self, pos: int) -> None:
-        """Wake the active disjunctions after index `pos`."""
-        for idx in self._ors[bisect_right(self._ors, pos):]:
-            if self.states[idx] == ACTIVE:
-                heappush(self._now, idx)
+            self._running = False
 
     # -- individual propagators ----------------------------------------------
 
@@ -845,9 +815,9 @@ class ConstraintStore:
         return "none" if self.post(c) else "fail"
 
     def _prune_or(self, idx: int, c: Or) -> str:
-        # a decided disjunction hands its surviving side to the running
-        # pass (`_add`) rather than posting it, so a chain of disjunctions
-        # decided one after another does not nest calls
+        # a decided disjunction posts its surviving side into the running
+        # loop, so a chain of disjunctions decided one after another does
+        # not nest calls
         ga, gb = self._try_ground(c.a), self._try_ground(c.b)
         if ga is True or gb is True:
             return "entail"
@@ -864,7 +834,7 @@ class ConstraintStore:
         if sat_a and sat_b:
             return "none"
         self._set_state(idx, ENTAILED)
-        return "none" if self._add(c.a if sat_a else c.b) else "fail"
+        return "none" if self.post(c.a if sat_a else c.b) else "fail"
 
     def _try_ground(self, c: Constraint):
         """Truth value of a constraint whose operands are all fixed, else None."""
@@ -882,17 +852,18 @@ class ConstraintStore:
         return _VERDICT.get(self._prune_scalar(c, a, b))
 
     def _test_sat(self, c: Constraint) -> bool:
-        # the probe prunes what the running pass has woken, as the pass
-        # would; it is fully undone, and so are the wakes of its writes
+        # the probe runs a propagation loop of its own, from an empty
+        # agenda: the loop prunes a disjunction only with nothing woken.
+        # It is fully undone, and so are the wakes of its writes
         mark = self.snapshot()
-        agenda = (self._pos, list(self._now), set(self._later), self._wrote)
+        running, self._running = self._running, False
         self._probing += 1
         try:
             return self.post(c)
         finally:
             self._probing -= 1
+            self._running = running
             self.restore(mark)
-            self._pos, self._now, self._later, self._wrote = agenda
 
     # -- queries -------------------------------------------------------------
 
@@ -1000,12 +971,14 @@ class ConstraintStore:
 
     def mapped(self, f) -> Optional["ConstraintStore"]:
         """A clone with each constraint's operands mapped by `map_term(., f)`,
-        propagated with every active constraint woken; None when that
+        propagated with every active comparison woken; None when that
         fails."""
         out = self.clone()
         out.constraints = [map_constraint(c, f) for c in out.constraints]
         out._watch_all()
-        out._now = [i for i, s in enumerate(out.states) if s == ACTIVE]
+        out._agenda = [i for i, c in enumerate(out.constraints)
+                       if out.states[i] == ACTIVE and not isinstance(c, Or)]
+        out._queued = set(out._agenda)
         return out if out._propagate() else None
 
     def active_constraints(self) -> list:

@@ -310,9 +310,10 @@ def test_a_disjunction_probe_reads_the_whole_store():
 
 
 def test_a_pass_that_writes_reprobes_every_disjunction_in_the_next():
-    # the write to A wakes both disjunctions; the second is decided in the
-    # same pass and adds X #< Z, which writes nothing but refutes the first
-    # disjunction's left side when the next pass probes it again
+    # the write to A leaves the first disjunction undecided and decides the
+    # second, which posts X #< Z; that writes nothing, but it refutes the
+    # first disjunction's left side, so the loop, which starts over after
+    # a post, must probe the first disjunction again
     store, (a, x, z, w) = make(range(10), range(6), range(1, 7), [0, 1])
     b = Var("B", 4)
     assert store.post(Le(a, b))
@@ -323,10 +324,10 @@ def test_a_pass_that_writes_reprobes_every_disjunction_in_the_next():
 
 
 def test_a_nested_propagation_hands_the_disjunctions_back_to_its_caller():
-    # declaring Q types the pending Q ##= V, whose post propagates inside
-    # the running pass; there the last disjunction decides B #<= 5, then
-    # the second X #< Z, after the first was probed for the last time in
-    # that call: the enclosing pass probes it again
+    # declaring Q types the pending Q ##= V, whose pruner posts Q #= V into
+    # the running loop; V's new bounds decide the last disjunction, B #<= 5,
+    # which decides the second, X #< Z: the first, probed before either,
+    # must be probed again after each post
     store, (b, v, x, z, w) = make(range(101), range(101), range(6),
                                   range(1, 7), [0, 1])
     q = Var("Q", 5)
@@ -348,6 +349,42 @@ def test_a_post_prunes_only_the_constraints_it_wakes():
     store._prune = lambda idx, c: pruned.append(idx) or prune(idx, c)
     assert store.post(Le(vars_[0], Int(3)))
     assert 1 <= len(pruned) <= 3 and set(pruned) <= {0, n}
+
+
+def test_a_ripple_down_a_chain_probes_a_disjunction_once():
+    # the last post narrows X200, and the chain X0 #< X1 #< ... #< X200
+    # carries it down one link at a time; the disjunction, which names none
+    # of them, is probed once the comparisons are at their fixpoint
+    n = 200
+    store, xs = make(*[range(1000)] * (n + 1), range(6))
+    y = xs.pop()
+    for i in range(n):
+        assert store.post(Lt(xs[i], xs[i + 1]))
+    assert store.post(Or(Eq(y, Int(1)), Eq(y, Int(2))))
+    probes = []
+    test_sat = store._test_sat
+    store._test_sat = lambda c: probes.append(c) or test_sat(c)
+    assert store.post(Le(xs[n], Int(500)))
+    assert len(probes) <= 4
+    assert store.domains[xs[0].id].max == 300
+
+
+def test_the_order_of_the_posts_does_not_change_the_result():
+    # propagation reaches the same fixpoint whatever order the constraints
+    # come in, which is what lets the loop prune them in any order
+    from oracles import random_store_case
+    for seed in range(4000):
+        _, domains, constraints = random_store_case(random.Random(seed))
+        for cs in (constraints, [negate(c) for c in constraints]):
+            try:
+                results = [build_store(domains, order, ConstraintStore)
+                           for order in (cs, cs[::-1])]
+            except StoreTypeError:
+                continue
+            (drawn, ok), (reversed_, ok_reversed) = results
+            assert ok == ok_reversed, seed
+            if ok:
+                assert drawn.domains == reversed_.domains, seed
 
 
 def _assert_at_fixpoint(store):
