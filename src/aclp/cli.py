@@ -29,11 +29,16 @@ DEFAULT_BENCH_SEED = 1
 
 
 def _read(path) -> str:
-    """Text of a file named on the command line; "" when none is named."""
+    """Text of a file named on the command line; "" when none is named.
+    Files are read as UTF-8 whatever the locale; one that is not UTF-8
+    raises an OSError that names it, as a missing file does."""
     if path is None:
         return ""
-    with open(path) as f:
-        return f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path} is not UTF-8: {e.reason}") from e
 
 
 def _delta_line(delta) -> str:

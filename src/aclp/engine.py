@@ -46,6 +46,15 @@ shared state plus the step that tries it.  On failure the loop pops the
 newest choice point, restores its mark and runs its step.  The Python
 stack stays flat however deep a derivation goes; `Config.max_depth` and
 memory bound its depth.
+
+Each attribute of a `Solver` is of one of three kinds.  Fixed for the
+solver's life: the theory, the config, the id counters, and the clause
+and IC indexes.  Trailed, and so back where it was when a solve ends: the
+substitution, the store, Δ, the denials and the choice stack.  Per solve,
+set when `solve` starts: `steps`, `budget_hit` and `depth_limit_hit`.
+Nothing else grows with the search: the variables that a refutation
+renames apart are minted local (`Var.local`), so locality is read off
+the variable itself.
 """
 
 from __future__ import annotations
@@ -111,10 +120,11 @@ class Answer:
     def labellings(self, strategy: str = "input_order", rng=None,
                    prefer: dict = None):
         """Ground valuations of every store variable, as id->term dicts.
-        The answer's store is left as it was found once the enumeration
-        ends or is closed or dropped, so every call enumerates the same
-        valuations."""
-        yield from self.store.label(self.store_vars(), strategy, rng, prefer)
+        Each call labels a clone of the answer's store and never touches
+        the store itself, so every call enumerates the same valuations,
+        even while another is still running."""
+        yield from self.store.clone().label(self.store_vars(), strategy,
+                                            rng, prefer)
 
     def ground_delta(self, valuation: dict):
         def g(t):
@@ -283,12 +293,12 @@ class Solver:
         self.theory = theory
         self.config = config or Config()
         self.counter = VarCounter(start=1_000_000)
+        self.locals = self.counter.locals()   # mints refutation locals
         self.subst = Substitution()
         self.store = ConstraintStore()
         walk = self.subst.walk
         self.delta = _Index(walk)      # Hypothesis values
         self.denials = _Index(walk)    # (abducible lit, *residual conjunction)
-        self.local_ids: set[int] = set()
         self._clauses = _Index(walk, template=True)
         for clause in theory.all_clauses():
             self._clauses.add(clause.head, clause)
@@ -297,12 +307,9 @@ class Solver:
             for pos, lit in enumerate(ic.body):
                 if isinstance(lit, UserLit):
                     self._ic_literals.add(lit, (ic, pos))
-        self._atom_domains: dict = {}  # DomainDecl.atoms -> AtomDomain
-        self.depth_limit_hit = False
-        self.budget_hit = False
-        self.answers_emitted = 0
         self.choices: list = []        # (mark, step) alternatives left to try
-        self.steps = 0                 # steps run by `solve`'s loop
+        # the last solve's steps run and limits hit, set when `solve` starts
+        self.steps, self.budget_hit, self.depth_limit_hit = 0, False, False
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -322,17 +329,10 @@ class Solver:
         the state now)."""
         self.choices.append((self._mark() if mark is None else mark, step))
 
-    def _is_local(self, v: Var) -> bool:
-        return v.id in self.local_ids
-
-    def _kept(self, v: Var) -> bool:
-        """Whether `_fresh_locals` keeps the unbound variable `v`: it is
-        not local, or it has a domain."""
-        return v.id not in self.local_ids or self.store.has_domain(v)
-
     def _fresh_locals(self, items):
         """Copies of the literals `items` under the substitution, with
-        unbound local variables renamed apart.
+        unbound local variables renamed apart; a local with a domain is
+        kept, since a renaming would drop its domain.
 
         Each alternative of a refutation (clause resolution, hypothesis
         match) quantifies the conjunction's local existentials on its own;
@@ -343,10 +343,10 @@ class Solver:
         conjunction, and `_fail_conj` consumes it before any copy of the
         rest is made.
         """
-        rename, mapping = _renamer(self.counter, self.subst.walk, self._kept)
-        fresh = [map_literal(i, rename) for i in items]
-        self.local_ids.update(v.id for v in mapping.values())
-        return fresh
+        has_domain = self.store.has_domain
+        rename, _ = _renamer(self.locals, self.subst.walk,
+                             lambda v: not v.local or has_domain(v))
+        return [map_literal(i, rename) for i in items]
 
     def _resolve_lit(self, lit):
         return self.subst.resolve_literal(lit)
@@ -363,6 +363,8 @@ class Solver:
         `Config.max_steps` steps.
         """
         max_steps = self.config.max_steps
+        self.steps, self.budget_hit, self.depth_limit_hit = 0, False, False
+        emitted = 0
         goal = rename_conjunction(goal, self.counter)
         base = self._mark()
         step = lambda: self._install(list(initial), 0, goal, _ANSWER)
@@ -377,7 +379,7 @@ class Solver:
                     step = None
                     answer = self._make_answer()
                     if answer is not None:
-                        self.answers_emitted += 1
+                        emitted += 1
                         yield answer
                 elif self.steps == max_steps:
                     self.budget_hit = True
@@ -388,7 +390,7 @@ class Solver:
         finally:
             self.choices.clear()
             self._restore(base)
-        if self.depth_limit_hit and self.answers_emitted == 0:
+        if self.depth_limit_hit and emitted == 0:
             raise DepthLimitExceededError(self.config.max_depth)
 
     def _install(self, initial, i, goal, k):
@@ -505,10 +507,7 @@ class Solver:
     def _declare(self, decl: DomainDecl) -> bool:
         var = self.subst.resolve(decl.var)
         if decl.atoms is not None:
-            dom = self._atom_domains.get(decl.atoms)
-            if dom is None:
-                dom = self._atom_domains[decl.atoms] = AtomDomain.of(
-                    [a.name for a in decl.atoms])
+            dom = AtomDomain.of([a.name for a in decl.atoms])
             if isinstance(var, Atom):
                 return dom.contains(var.name)
         else:
@@ -574,8 +573,7 @@ class Solver:
         never sets `depth_limit_hit`."""
         residuals = []
         for ic, pos in self._ic_literals.lookup(hyp):
-            renamed, newvars = standardize_ic(ic, self.counter)
-            self.local_ids.update(v.id for v in newvars)
+            renamed, _ = standardize_ic(ic, self.locals)
             residual = [_Match(renamed.body[pos].args, hyp.args)]
             residual.extend(l for j, l in enumerate(renamed.body) if j != pos)
             residuals.append(residual)
@@ -651,8 +649,7 @@ class Solver:
             # `_fail_conj`, as in `_consistency`
             resolutions = []
             for clause in self._clauses.lookup(lit):
-                renamed, newvars = standardize_apart(clause, self.counter)
-                self.local_ids.update(v.id for v in newvars)
+                renamed, _ = standardize_apart(clause, self.locals)
                 fresh = self._fresh_locals([lit] + list(rest))
                 resolutions.append([_Match(renamed.head.args, fresh[0].args)]
                                    + list(renamed.body) + fresh[1:])
@@ -669,7 +666,7 @@ class Solver:
             self._restore(mark)
             return k  # structurally impossible match
         gcaps = None
-        if caps and self.local_ids.issuperset(self.subst.trail[mark[0]:]):
+        if caps and all(v.local for v in self.subst.trail[mark[0]:]):
             # every variable the match bound, as trailed since the mark,
             # is local
             gcaps = self._project_caps(caps)
@@ -698,10 +695,10 @@ class Solver:
         is not exact (a local cap that actually constrains the globals).
         """
         occurrences = Counter(v.id for c in caps for v in constraint_vars(c)
-                              if self._is_local(v))
+                              if v.local)
         gcaps = []
         for c in caps:
-            locs = [v for v in constraint_vars(c) if self._is_local(v)]
+            locs = [v for v in constraint_vars(c) if v.local]
             if not locs:
                 gcaps.append(c)
                 continue
@@ -710,11 +707,11 @@ class Solver:
             # a cap relates domain variables and constants; read each side
             # through the store, a constant as its singleton domain
             (x, _, dx), (y, _, dy) = map(self.store._operand, (c.a, c.b))
-            if x is None or not self._is_local(x):
+            if x is None or not x.local:
                 (x, dx), (y, dy) = (y, dy), (x, dx)
             if dx is None or type(dx) is not type(dy):
                 return None
-            if y is not None and self._is_local(y):
+            if y is not None and y.local:
                 if dx.intersect(dy).empty:
                     return None
             elif dx.intersect(dy).size != dy.size:
@@ -740,7 +737,7 @@ class Solver:
             self._restore(mark)
             return k
 
-        if any(self._is_local(v) for v in constraint_vars(c)):
+        if any(v.local for v in constraint_vars(c)):
             return assume_it()
         # refute it by its negation first, then assume it
         self._choice(assume_it)
@@ -752,7 +749,7 @@ class Solver:
         longer taken for an IC body."""
         fail_rest = lambda: self._fail_conj(rest, depth + 1, False, k)
         args = tuple(self.subst.resolve(a) for a in lit.args)
-        if any(self._is_local(v) for a in args for v in term_vars(a)):
+        if any(v.local for a in args for v in term_vars(a)):
             return fail_rest
         self._choice(fail_rest)
         return self._prove([UserLit(comp[0], args)], depth + 1, k)

@@ -15,6 +15,7 @@ serves the Δ records and `ConstraintStore.render`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -38,6 +39,9 @@ class UnknownPredicateError(AclpError):
 class Var:
     name: str
     id: int
+    # minted by a refutation for its own local existentials (see
+    # `VarCounter.locals`); equality, hashing and printing ignore it
+    local: bool = field(default=False, compare=False)
 
     def __repr__(self):
         return f"_{self.name}#{self.id}"
@@ -150,12 +154,17 @@ class VarCounter:
     """Source of globally fresh variable ids for one derivation."""
 
     def __init__(self, start: int = 0):
-        self._next = start
+        self._ids = itertools.count(start)
+        self._local = False
 
     def fresh(self, name: str = "_G") -> Var:
-        v = Var(name, self._next)
-        self._next += 1
-        return v
+        return Var(name, next(self._ids), self._local)
+
+    def locals(self) -> "VarCounter":
+        """A twin that draws from the same ids and mints local variables."""
+        twin = VarCounter()
+        twin._ids, twin._local = self._ids, True
+        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +348,19 @@ class Substitution:
 
     def __init__(self):
         self.bindings: dict[int, Term] = {}
-        self.trail: list[int] = []
+        self.trail: list[Var] = []    # the variables bound, oldest first
 
     def mark(self) -> int:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
         while len(self.trail) > mark:
-            del self.bindings[self.trail.pop()]
+            del self.bindings[self.trail.pop().id]
 
     def bind(self, v: Var, t: Term) -> None:
         assert v.id not in self.bindings
         self.bindings[v.id] = t
-        self.trail.append(v.id)
+        self.trail.append(v)
 
     def walk(self, t: Term) -> Term:
         """Follow variable bindings one level (until unbound var or non-var)."""

@@ -61,6 +61,17 @@ def test_missing_hypothesis_file_exits_2(simple, tmp_path, capsys, option):
     assert code == 2 and "missing.facts" in err
 
 
+@pytest.mark.parametrize("option", [None, "--initial", "--min-changes"])
+def test_a_file_that_is_not_utf8_exits_2(simple, tmp_path, capsys, option):
+    bad = tmp_path / "bad.aclp"
+    bad.write_bytes(b"p(\xff).\n")
+    argv = ["solve", str(bad), "--goal", "p(X)"]
+    if option is not None:
+        argv = ["solve", simple, "--goal", "g(X)", option, str(bad)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "bad.aclp is not UTF-8" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--all", "0"],
     ["--all", "-2"],

@@ -959,3 +959,95 @@ def test_may_unify_walks_no_template_variable():
                                  subst.walk, template=True)
     assert not engine._may_unify(nested, (Struct("f", (Atom("b"),)),),
                                  subst.walk, template=True)
+
+
+# -- solver state: fixed, trailed, or set when a solve starts --------------
+
+def _lengths(solver):
+    """Length of every container attribute of `solver`, its substitution
+    and its store."""
+    return {(part, name): len(value)
+            for part, obj in (("solver", solver), ("subst", solver.subst),
+                              ("store", solver.store))
+            for name, value in vars(obj).items()
+            if hasattr(value, "__len__") and not isinstance(value, str)}
+
+
+def test_a_solver_holds_nothing_that_grows_with_its_search():
+    # 7 blocks, seed 10 has no plan the search finds: the longer it runs,
+    # the more refutation-local variables it renames apart
+    inst = generate_blocks(7, 10)
+    theory = compile_naf(parse_theory(inst.program), mode="validate")
+    goal = parse_goal(inst.goal_text)
+    before = _lengths(Solver(theory))
+    for max_steps in (5_000, 10_000):
+        solver = Solver(theory, Config(max_steps=max_steps))
+        assert list(solver.solve(goal)) == [] and solver.budget_hit
+        assert _lengths(solver) == before
+
+
+def _records(stream):
+    try:
+        return [(repr(a.delta), a.store.render()) for a in stream]
+    except AclpError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("text, config, goals", [
+    # the first solve spends the step budget that the second would need
+    ("abducible_predicate(a/1).\ng(X) :- X :: 1..3, a(X).",
+     Config(max_steps=6), ["g(X)", "g(X)"]),
+    # the first solve hits the depth limit, the second does not
+    ("p :- p.", Config(max_depth=3), ["p", "fail"]),
+])
+def test_a_reused_solver_streams_what_fresh_solvers_stream(text, config,
+                                                          goals):
+    theory = compile_naf(parse_theory(text), mode="autogenerate")
+    solver = Solver(theory, config)
+    reused = [_records(solver.solve(parse_goal(g))) for g in goals]
+    fresh = [_records(Solver(theory, config).solve(parse_goal(g)))
+             for g in goals]
+    assert fresh[0] != []    # an answer, or the depth limit's error
+    assert list(map(canonical_ids, reused)) == list(map(canonical_ids, fresh))
+
+
+# -- locality rules of the refutation ---------------------------------------
+
+def test_a_local_domain_variable_stays_shared_across_a_refutation():
+    # the resolution with q(Z) copies the rest of the IC body: L, renamed
+    # there without its domain, would escape 1..3, L #> 5 could hold, and
+    # the IC would reject a(1)
+    text = """
+        abducible_predicate(a/1).
+        q(Z).
+        ic :- a(X), L :: 1..3, q(L), L #> 5.
+        g :- a(1).
+    """
+    assert [repr(a.delta) for a in answers(text, "g")] == ["(a(1),)"]
+
+
+def test_naf_with_a_local_argument_is_not_refuted_by_proving_it():
+    # the second IC is violated at L = 1, where p(1) fails; proving p(2)
+    # shows only that not_p(2) fails, not not_p(L) for every L
+    text = """
+        abducible_predicate(a/1).
+        abducible_predicate(not_p/1).
+        p(2).
+        ic :- not_p(Y), p(Y).
+        ic :- a(X), not_p(L), L #> 0.
+        g :- a(1).
+    """
+    assert answers(text, "g") == []
+
+
+def test_interleaved_labellings_of_one_answer_enumerate_the_same():
+    text = """
+        abducible_predicate(a/2).
+        g :- X :: 1..2, Y :: 1..2, a(X, Y).
+    """
+    (ans,) = answers(text, "g")
+    first = ans.labellings()
+    one = [next(first)]
+    other = list(ans.labellings())
+    one += list(first)
+    assert len(one) == 4 and one == other
