@@ -2,8 +2,7 @@
 integrity constraints over a finite-domain constraint store."""
 
 from .engine import (Answer, Config, DepthLimitExceededError, Hypothesis,
-                     InitialHypothesisInconsistentError, Solver, ic_order,
-                     solve)
+                     InitialHypothesisInconsistentError, Solver, solve)
 from .optimize import (EmptyStreamError, GroundAnswer, UnknownVariableError,
                        change_count, find_cost_var, min_changes, minimize,
                        reschedule)
@@ -23,9 +22,8 @@ __all__ = [
     "NafLit", "ParseError", "ParseFailure", "Solver", "Struct",
     "Substitution", "TheoryError", "UnknownVariableError", "UserLit", "Var",
     "VarCounter", "change_count", "compile_naf", "find_cost_var",
-    "format_theory", "ic_order", "min_changes", "minimize", "negate",
-    "parse_goal", "parse_theory", "reschedule", "solve", "standardize_apart",
-    "unify",
+    "format_theory", "min_changes", "minimize", "negate", "parse_goal",
+    "parse_theory", "reschedule", "solve", "standardize_apart", "unify",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .engine import Answer, Config, solve
+from .engine import Answer, Config, Solver
 from .corpus import (first_ground, generate_blocks, generate_jobshop,
                      reschedule_case)
 from .optimize import (GroundAnswer, change_count, find_cost_var, minimize,
@@ -24,7 +24,6 @@ from .validators import (extract_moves, extract_starts, validate_blocks_plan,
                          validate_jobshop_schedule)
 
 _STRATEGIES = {"input": "input_order", "ff": "first_fail"}
-_IC_ORDERS = {"source": "source", "specific": "specific_first"}
 DEFAULT_BENCH_SEED = 1
 
 
@@ -115,9 +114,7 @@ def _cmd_solve(args) -> int:
         return 2
     goal = parse_goal(args.goal)
     initial = tuple(parse_facts(initial_text))
-    config = Config(max_depth=args.max_depth,
-                    ic_order=_IC_ORDERS[args.ic_order],
-                    max_steps=args.max_steps)
+    config = Config(max_depth=args.max_depth, max_steps=args.max_steps)
     strategy = _STRATEGIES[args.strategy]
 
     blocks, docs = [], []
@@ -127,27 +124,37 @@ def _cmd_solve(args) -> int:
                         strategy=strategy)
         blocks.append(_render_ground(ga))
         docs.append(_json_ground(ga))
-    elif args.minimize:
-        ans = next(solve(theory, goal, initial, config), None)
-        if ans is not None:
-            ga = minimize(ans, find_cost_var(ans, args.minimize), strategy)
-            if ga is not None:
-                blocks.append(_render_ground(ga))
-                docs.append(_json_ground(ga))
     else:
-        count = args.all or 1
-        for i, ans in enumerate(solve(theory, goal, initial, config)):
-            if args.label:
-                ga = _label_answer(ans, strategy)
-                if ga is None:
-                    continue
-                blocks.append(_render_ground(ga))
-                docs.append(_json_ground(ga))
+        solver = Solver(theory, config)
+        answers = solver.solve(goal, initial)
+        try:
+            if args.minimize:
+                ans = next(answers, None)
+                if ans is not None:
+                    ga = minimize(ans, find_cost_var(ans, args.minimize),
+                                  strategy)
+                    if ga is not None:
+                        blocks.append(_render_ground(ga))
+                        docs.append(_json_ground(ga))
             else:
-                blocks.append(_render_answer(ans))
-                docs.append(_json_answer(ans))
-            if i + 1 >= count:
-                break
+                count = args.all or 1
+                for i, ans in enumerate(answers):
+                    if args.label:
+                        ga = _label_answer(ans, strategy)
+                        if ga is None:
+                            continue
+                        blocks.append(_render_ground(ga))
+                        docs.append(_json_ground(ga))
+                    else:
+                        blocks.append(_render_answer(ans))
+                        docs.append(_json_answer(ans))
+                    if i + 1 >= count:
+                        break
+        finally:
+            answers.close()
+        if not blocks and solver.budget_hit:
+            print(f"no answer within the step budget "
+                  f"(--max-steps {args.max_steps})", file=sys.stderr)
 
     if args.json:
         print(render_json(docs))
@@ -237,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--label", action="store_true",
                    help="ground each answer before printing")
     s.add_argument("--strategy", choices=sorted(_STRATEGIES), default="input")
-    s.add_argument("--ic-order", choices=sorted(_IC_ORDERS), default="source")
     s.add_argument("--naf-mode", choices=["validate", "autogenerate"],
                    default="validate")
     s.add_argument("--json", action="store_true")
-    s.add_argument("--max-depth", type=_positive_int, default=10000)
+    s.add_argument("--max-depth", type=_positive_int,
+                   default=Config.max_depth)
     s.add_argument("--max-steps", type=_positive_int, default=None,
                    help="search steps before the search gives up")
     s.set_defaults(func=_cmd_solve)
@@ -250,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("suite", choices=sorted(_SUITES))
     b.add_argument("--sizes", type=_positive_int, nargs="+", required=True)
     b.add_argument("--seed", type=int, default=DEFAULT_BENCH_SEED)
-    b.add_argument("--max-depth", type=_positive_int, default=10000)
+    b.add_argument("--max-depth", type=_positive_int,
+                   default=Config.max_depth)
     b.add_argument("--max-steps", type=_positive_int, default=None)
     b.set_defaults(func=_cmd_bench)
     return p

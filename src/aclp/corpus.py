@@ -121,16 +121,15 @@ preconditions(move(X, From, To), T) :-
 """
 
 
-def generate_blocks(n_blocks: int, seed: int, moves: int = None) -> BlocksInstance:
+def generate_blocks(n_blocks: int, seed: int) -> BlocksInstance:
     """A random blocks-world instance with ceil(n/3) table positions.
 
-    The goal configuration is reached from the initial one by a short
-    random sequence of legal moves, so a plan of length `moves` exists
-    and max_time is set to exactly that length.
+    The goal configuration is reached from the initial one by a random
+    sequence of legal moves, two for up to 4 blocks and three above, so a
+    plan of that length exists and max_time is set to exactly that length.
     """
     rng = random.Random(seed)
-    if moves is None:
-        moves = 2 if n_blocks <= 4 else 3
+    moves = 2 if n_blocks <= 4 else 3
     # one table position per three blocks, but never fewer than two:
     # a lone position admits no legal move at all
     n_pos = max(2, math.ceil(n_blocks / 3))
@@ -239,11 +238,11 @@ def _jobshop_program(tasks, horizon, windows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_jobshop(n_tasks: int, seed: int, n_resources: int = None) -> JobshopInstance:
-    """Random independent tasks competing for shared resources."""
+def generate_jobshop(n_tasks: int, seed: int) -> JobshopInstance:
+    """Random independent tasks competing for shared resources, about
+    four tasks per resource and never fewer than two resources."""
     rng = random.Random(seed)
-    if n_resources is None:
-        n_resources = max(2, round(n_tasks / 4))
+    n_resources = max(2, round(n_tasks / 4))
     tasks = [Task(i, f"r{rng.randrange(n_resources) + 1}", rng.randint(1, 4))
              for i in range(1, n_tasks + 1)]
     load = {}

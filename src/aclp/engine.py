@@ -91,7 +91,6 @@ class DepthLimitExceededError(AclpError):
 @dataclass
 class Config:
     max_depth: int = 10000
-    ic_order: str = "source"          # source | specific_first
     max_steps: int = None             # search steps per solve, or None
     # the store's implementation-wide default range, read by perfbench's
     # checks: class constants, not fields, so no solve sets its own
@@ -130,24 +129,6 @@ class Answer:
         def g(t):
             return valuation.get(t.id, t) if isinstance(t, Var) else t
         return tuple(map_literal(l, g) for l in self.delta)
-
-
-def ic_order(ics, strategy: str = "source"):
-    """Order integrity constraints for checking; specific_first tries the
-    more specific ones (longer bodies, more non-variable arguments) first."""
-    if strategy == "source":
-        return list(ics)
-    if strategy != "specific_first":
-        raise ValueError(f"bad ic ordering {strategy!r}")
-
-    def nonvar_positions(ic):
-        n = 0
-        for lit in ic.body:
-            if isinstance(lit, UserLit):
-                n += sum(1 for a in lit.args if not isinstance(a, Var))
-        return n
-
-    return sorted(ics, key=lambda ic: (-len(ic.body), -nonvar_positions(ic)))
 
 
 @dataclass(frozen=True)
@@ -303,7 +284,7 @@ class Solver:
         for clause in theory.all_clauses():
             self._clauses.add(clause.head, clause)
         self._ic_literals = _Index(walk, template=True)   # (ic, pos) values
-        for ic in ic_order(theory.ics, self.config.ic_order):
+        for ic in theory.ics:
             for pos, lit in enumerate(ic.body):
                 if isinstance(lit, UserLit):
                     self._ic_literals.add(lit, (ic, pos))
@@ -347,9 +328,6 @@ class Solver:
         rename, _ = _renamer(self.locals, self.subst.walk,
                              lambda v: not v.local or has_domain(v))
         return [map_literal(i, rename) for i in items]
-
-    def _resolve_lit(self, lit):
-        return self.subst.resolve_literal(lit)
 
     # -- top level -----------------------------------------------------------
 
@@ -418,7 +396,7 @@ class Solver:
         return self._consistency(lit, 0, installed)
 
     def _make_answer(self):
-        delta = tuple(self._resolve_lit(h.lit) for h in self.delta)
+        delta = tuple(self.subst.resolve_literal(h.lit) for h in self.delta)
         prov = tuple(h.provenance for h in self.delta)
         # bindings made since a constraint was posted may decide it, as
         # when unification grounds the variable of a pending `X ## a`
@@ -532,21 +510,21 @@ class Solver:
         # a hypothesis that the Δ lookup rejects could only fail to unify,
         # so it gets no choice point; an exact duplicate always passes
         reusable = self.delta.lookup(lit)
+        resolve = self.subst.resolve_literal
 
         # reuse existing hypotheses first, in insertion order
         def reuse(j):
             if j == len(reusable):
                 return assume()
             self._choice(lambda: reuse(j + 1))
-            if self._unify_args(self._resolve_lit(reusable[j].lit).args,
-                                lit.args):
+            if self._unify_args(resolve(reusable[j].lit).args, lit.args):
                 return proceed
             return None
 
         # then assume a fresh one (skip exact duplicates: reuse covered them)
         def assume():
-            resolved = self._resolve_lit(lit)
-            if any(self._resolve_lit(h.lit) == resolved for h in reusable):
+            resolved = resolve(lit)
+            if any(resolve(h.lit) == resolved for h in reusable):
                 return None
             self.delta.add(resolved, Hypothesis(resolved, "goal"))
             return self._consistency(resolved, depth, proceed)
@@ -777,10 +755,10 @@ class Solver:
         for h in self.delta.lookup(lit):
             fresh = self._fresh_locals(items)
             conjs.append([_Match(fresh[0].args,
-                                 self._resolve_lit(h.lit).args)]
+                                 self.subst.resolve_literal(h.lit).args)]
                          + fresh[1:])
         if not ic_body:
-            d_lit = self._resolve_lit(lit)
+            d_lit = self.subst.resolve_literal(lit)
             self.denials.add(d_lit, (d_lit,) + tuple(rest))
         return self._refute_all(conjs, 0, depth + 1, ic_body, k)
 

@@ -20,6 +20,9 @@ from .terms import (AclpError, Atom, Int, Struct, UserLit, Var, as_written,
 # takes a few hundred steps, while one over a kept set that cannot be
 # satisfied can run for hundreds of thousands
 RESCHEDULE_MAX_STEPS = 10_000
+# answers of each re-solve that `reschedule` scores, and groundings of each
+RESCHEDULE_MAX_ANSWERS = 8
+RESCHEDULE_MAX_LABELLINGS = 64
 
 
 class UnknownVariableError(AclpError):
@@ -223,7 +226,6 @@ def label_preferences(answer: Answer, reference) -> dict:
 
 
 def reschedule(theory, goal, reference: tuple, config=None,
-               max_answers: int = 8, max_labellings: int = 64,
                strategy: str = "first_fail") -> GroundAnswer:
     """Minimal-change recomputation: re-solve with the old solution installed
     as initial hypotheses, minimizing the change count against it.
@@ -233,8 +235,10 @@ def reschedule(theory, goal, reference: tuple, config=None,
     are dropped up front.  A kept set can also be jointly infeasible even
     though each member passes on its own; when the solve produces no
     answer (or exhausts its step budget, `RESCHEDULE_MAX_STEPS` unless
-    `config.max_steps` is set), the most recently added hypothesis is dropped and
-    the solve retried, down to a fresh solve in the worst case.  Raises
+    `config.max_steps` is set), the most recently added hypothesis is
+    dropped and the solve retried, down to a fresh solve in the worst case.
+    `min_changes` scores the first `RESCHEDULE_MAX_ANSWERS` answers of a
+    re-solve and `RESCHEDULE_MAX_LABELLINGS` groundings of each.  Raises
     AclpError when a reference literal is not ground.
     """
     config = config or Config()
@@ -246,9 +250,8 @@ def reschedule(theory, goal, reference: tuple, config=None,
             stream = solve(theory, goal, initial=kept, config=config)
             try:
                 return min_changes(stream, tuple(reference),
-                                   max_answers=max_answers,
-                                   max_labellings=max_labellings,
-                                   strategy=strategy)
+                                   RESCHEDULE_MAX_ANSWERS,
+                                   RESCHEDULE_MAX_LABELLINGS, strategy)
             finally:
                 # a stream left open keeps its search thread parked
                 # until the cyclic collector finds it

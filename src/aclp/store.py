@@ -865,16 +865,6 @@ class ConstraintStore:
             self._running = running
             self.restore(mark)
 
-    # -- queries -------------------------------------------------------------
-
-    def entails(self, c: Constraint) -> str:
-        """'true' / 'false' / 'unknown', decided by the complement test."""
-        if not self._test_sat(c):
-            return "false"
-        if not self._test_sat(negate(c)):
-            return "true"
-        return "unknown"
-
     # -- labelling -----------------------------------------------------------
 
     def label(self, vars: Sequence = (), strategy: str = "input_order",

@@ -49,6 +49,22 @@ def test_no_answer_exits_1(simple, capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("mode", [[], ["--label"], ["--minimize", "X"]])
+def test_an_exhausted_step_budget_is_named_on_stderr(simple, capsys, mode):
+    code, out, err = run(capsys, "solve", simple, "--goal", "g(X)",
+                         "--max-steps", "1", *mode)
+    assert code == 1 and out == ""
+    assert err == "no answer within the step budget (--max-steps 1)\n"
+
+
+def test_a_search_that_completes_with_no_answer_names_no_budget(simple,
+                                                                capsys):
+    # a(1) breaks the IC, so the search ends well inside its budget
+    code, out, err = run(capsys, "solve", simple, "--goal", "g(1)",
+                         "--max-steps", "1000")
+    assert (code, out, err) == (1, "", "")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent.aclp", "--goal", "g")
     assert code == 2 and err != ""

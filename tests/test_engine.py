@@ -15,11 +15,11 @@ from aclp import Config, compile_naf, engine, parse_goal, parse_theory, solve
 from aclp.corpus import (event_calculus_program, generate_blocks,
                          generate_jobshop)
 from aclp.engine import (DepthLimitExceededError,
-                         InitialHypothesisInconsistentError, Solver, ic_order)
+                         InitialHypothesisInconsistentError, Solver)
 from aclp.parser import format_literal
 from aclp.store import IntDomain, StoreTypeError
-from aclp.terms import (AclpError, Atom, Int, IntegrityConstraint, Struct,
-                        Substitution, UnknownPredicateError, UserLit, Var)
+from aclp.terms import (AclpError, Atom, Int, Struct, Substitution,
+                        UnknownPredicateError, UserLit, Var)
 
 from oracles import (canonical_ids, random_naf_program_text,
                      random_theory_text)
@@ -522,30 +522,6 @@ def test_first_labelling_of_a_one_sided_bound_draws_few_values(monkeypatch):
     sol = next(ans.labellings())
     assert sol[ans.delta[0].args[0].id] == Int(4)
     assert len(drawn) <= 4
-
-
-# -- ic ordering ------------------------------------------------------------
-
-def _ic(*names):
-    return IntegrityConstraint(tuple(UserLit(n, ()) for n in names))
-
-
-def test_specific_first_prefers_longer_bodies():
-    short, long_ = _ic("a", "b"), _ic("a", "b", "c", "d")
-    assert ic_order([short, long_], "specific_first") == [long_, short]
-    assert ic_order([short, long_], "source") == [short, long_]
-
-
-def test_specific_first_breaks_ties_by_ground_arguments():
-    x = Var("X", 0)
-    vague = IntegrityConstraint((UserLit("a", (x,)),))
-    exact = IntegrityConstraint((UserLit("a", (Int(3),)),))
-    assert ic_order([vague, exact], "specific_first") == [exact, vague]
-
-
-def test_ic_order_is_stable_on_ties():
-    a, b = _ic("a", "b"), _ic("c", "d")
-    assert ic_order([a, b], "specific_first") == [a, b]
 
 
 # -- the shipped event-calculus program -------------------------------------

@@ -346,7 +346,7 @@ def test_reschedule_drops_hypotheses_broken_by_theory_change():
     assert kept == [UserLit("s", (Int(2), Int(3)))]
 
 
-def test_reschedule_leaves_no_search_thread_running():
+def test_reschedule_leaves_no_search_thread_running(monkeypatch):
     # s(1, 2) is dropped when its install fails: the error re-raised from
     # that stream sits in a reference cycle holding reschedule's frame, so
     # only closing the last stream ends its search thread without the
@@ -357,12 +357,12 @@ def test_reschedule_leaves_no_search_thread_running():
         ic :- s(1, T), T #<= 4.
     """
     reference = lits(("s", (1, 2)), ("s", (2, 3)))
+    # one answer of two is read, so the last stream stays open
+    monkeypatch.setattr(optimize, "RESCHEDULE_MAX_ANSWERS", 1)
     gc.disable()
     try:
         before = set(threading.enumerate())
-        # one answer of two is read, so the last stream stays open
-        best = reschedule(parse_theory(text), parse_goal("g"), reference,
-                          max_answers=1)
+        best = reschedule(parse_theory(text), parse_goal("g"), reference)
         for t in set(threading.enumerate()) - before:
             t.join(timeout=10)
         assert threading.active_count() == len(before)

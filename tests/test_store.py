@@ -442,15 +442,6 @@ def test_negate_is_involution_on_random_constraints():
             assert negate(negate(c)) == c
 
 
-# -- entailment -------------------------------------------------------------
-
-def test_entails_three_values():
-    store, (x,) = make([2, 3, 4])
-    assert store.entails(Ge(x, Int(2))) == "true"
-    assert store.entails(Gt(x, Int(4))) == "false"
-    assert store.entails(Gt(x, Int(2))) == "unknown"
-
-
 # -- labelling --------------------------------------------------------------
 
 def test_label_input_order_is_lexicographic():
