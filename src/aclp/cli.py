@@ -2,19 +2,21 @@
 benchmark suites.
 
 Exit codes: 0 with at least one answer, 1 with none, 2 on any error
-(unreadable file, parse failure, theory validation, engine errors).
+(unreadable file, parse failure, theory validation, engine errors).  A
+reader that closes standard output early changes none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .engine import Answer, Config, Solver
-from .corpus import (first_ground, generate_blocks, generate_jobshop,
-                     reschedule_case)
+from .corpus import (StepBudgetError, first_ground, generate_blocks,
+                     generate_jobshop, reschedule_case)
 from .optimize import (GroundAnswer, change_count, find_cost_var, minimize,
                        reschedule)
 from .parser import parse_facts, parse_goal, parse_theory
@@ -38,6 +40,17 @@ def _read(path) -> str:
             return f.read()
     except UnicodeDecodeError as e:
         raise OSError(f"{path} is not UTF-8: {e.reason}") from e
+
+
+def _out(text: str) -> None:
+    """Print `text` on standard output.  Once the reader has closed it,
+    standard output goes to the null device, as the Python documentation
+    advises, so neither this print nor a later one, nor the flush at
+    interpreter shutdown, raises BrokenPipeError."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _delta_line(delta) -> str:
@@ -157,12 +170,9 @@ def _cmd_solve(args) -> int:
                   f"(--max-steps {args.max_steps})", file=sys.stderr)
 
     if args.json:
-        print(render_json(docs))
-    else:
-        for i, lines in enumerate(blocks):
-            if i:
-                print()
-            print("\n".join(lines))
+        _out(render_json(docs))
+    elif blocks:
+        _out("\n\n".join("\n".join(lines) for lines in blocks))
     return 0 if blocks else 1
 
 
@@ -210,12 +220,15 @@ _SUITES = {"blocksworld": _bench_blocksworld, "jobshop": _bench_jobshop,
 def _cmd_bench(args) -> int:
     config = Config(max_depth=args.max_depth, max_steps=args.max_steps)
     suite = _SUITES[args.suite]
-    print(f"{'size':>6}  {'time':>8}  {'metric':<22}  verdict")
+    _out(f"{'size':>6}  {'time':>8}  {'metric':<22}  verdict")
     for n in args.sizes:
         t0 = time.perf_counter()
-        metric, verdict = suite(n, args.seed, config)
-        print(f"{n:>6}  {time.perf_counter() - t0:>7.2f}s  {metric:<22}  "
-              f"{verdict}")
+        try:
+            metric, verdict = suite(n, args.seed, config)
+        except StepBudgetError:
+            metric, verdict = f"{args.max_steps} steps", "BUDGET"
+        _out(f"{n:>6}  {time.perf_counter() - t0:>7.2f}s  {metric:<22}  "
+             f"{verdict}")
     return 0
 
 

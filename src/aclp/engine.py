@@ -32,8 +32,8 @@ candidate by `_may_unify` before returning it.  A variable first
 argument matches every key, since it unifies with anything.  A lookup
 keeps insertion order, so indexing changes no answer and no answer
 order.  Clause heads and IC body literals are filed as written; Δ and
-the denials are filed through the substitution and truncated on
-backtracking.
+the denials are filed through the substitution, and each entry is undone
+on backtracking.
 
 Both derivations are driven by one loop in
 `Solver.solve` over an explicit stack of choice points (the state-based
@@ -42,15 +42,18 @@ does a bounded amount of work and returns the step that continues the
 derivation, or None when it fails.  The continuation `k` handed to a step
 is what to do once its goal has been proved, or its conjunction failed.
 Every alternative left for later is a choice point: a `_mark()` of the
-shared state plus the step that tries it.  On failure the loop pops the
-newest choice point, restores its mark and runs its step.  The Python
+shared state plus the step that tries it.  The substitution, the store, Δ
+and the denials push the undo of every change onto one trail, so a mark
+is the trail's length.  On failure the loop pops the newest choice point,
+rewinds the trail to its mark and runs its step.  The Python
 stack stays flat however deep a derivation goes; `Config.max_depth` and
 memory bound its depth.
 
 Each attribute of a `Solver` is of one of three kinds.  Fixed for the
 solver's life: the theory, the config, the id counters, and the clause
-and IC indexes.  Trailed, and so back where it was when a solve ends: the
-substitution, the store, Δ, the denials and the choice stack.  Per solve,
+and IC indexes.  Undone through the trail, and so back where it was when
+a solve ends: the substitution, the store, Δ, the denials, and the trail
+and the choice stack themselves.  Per solve,
 set when `solve` starts: `steps`, `budget_hit` and `depth_limit_hit`.
 Nothing else grows with the search: the variables that a refutation
 renames apart are minted local (`Var.local`), so locality is read off
@@ -70,7 +73,7 @@ from .store import (DEFAULT_HI, DEFAULT_LO, And, AtomDomain, ConstraintStore,
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
                     Struct, Substitution, UserLit, Var, VarCounter,
                     UnknownPredicateError, _renamer, as_written,
-                    is_ground, map_literal, rename_conjunction,
+                    is_ground, map_literal, rename_conjunction, rewind,
                     standardize_apart, standardize_ic, term_vars,
                     unify_terms)
 from .theory import AbductiveTheory
@@ -208,42 +211,40 @@ class _Index:
     entries in insertion order, the order in which goal reduction tries
     clauses and reuses hypotheses and the consistency derivation resolves
     ICs and re-checks denials, so indexing changes no answer and no order.
-    A `template` index files literals as written: clause heads and IC
-    body literals, whose parser ids may collide with ids bound here.  Any
-    other index files them walked through the substitution and is
-    trailed: `truncate` drops the newest entries, so Δ and the denials
-    follow backtracking."""
+    An index without a `trail` is a template: it files literals as
+    written, clause heads and IC body literals, whose parser ids may
+    collide with ids bound here.  An index with one files them walked
+    through the substitution and pushes the undo of each entry on the
+    trail, so Δ and the denials follow backtracking."""
 
     _ALL = object()   # the bucket that every entry of an indicator joins
 
-    def __init__(self, walk, template=False):
-        self._walk, self._template = walk, template
+    def __init__(self, walk, trail=None):
+        self._walk, self._trail = walk, trail
         self._at = {}      # indicator -> key -> (position, literal, value)s
-        self._filed = []   # per position: its entry and the two buckets
-
-    def __len__(self):
-        return len(self._filed)
+        self._filed = []   # the entries, in insertion order
 
     def __iter__(self):
-        return (entry[2] for entry, _, _ in self._filed)
+        return (value for _, _, value in self._filed)
 
     def add(self, lit, value):
         key = None
         if lit.args:
             first = lit.args[0]
-            key = _key(first if self._template else self._walk(first))
+            key = _key(first if self._trail is None else self._walk(first))
         at = self._at.setdefault(lit.indicator, {})
         entry = (len(self._filed), lit, value)
-        buckets = (at.setdefault(self._ALL, []), at.setdefault(key, []))
-        for b in buckets:
-            b.append(entry)
-        self._filed.append((entry,) + buckets)
+        every, keyed = at.setdefault(self._ALL, []), at.setdefault(key, [])
+        every.append(entry)
+        keyed.append(entry)
+        self._filed.append(entry)
+        if self._trail is not None:
+            self._trail.append((self._unfile, every, keyed))
 
-    def truncate(self, n):
-        while len(self._filed) > n:
-            _, every, keyed = self._filed.pop()
-            every.pop()
-            keyed.pop()
+    def _unfile(self, every, keyed):
+        self._filed.pop()
+        every.pop()
+        keyed.pop()
 
     def lookup(self, lit):
         """The values, in insertion order, whose literal may unify with
@@ -252,7 +253,7 @@ class _Index:
         at = self._at.get(lit.indicator)
         if at is None:
             return []
-        walk, args = self._walk, lit.args
+        walk, args, template = self._walk, lit.args, self._trail is None
         key = _key(walk(args[0])) if args else None
         if key is None:
             hits = at[self._ALL]
@@ -260,7 +261,6 @@ class _Index:
             hits, free = at.get(key, ()), at.get(None)
             if free:
                 hits = sorted(hits + free) if hits else free
-        template = self._template
         return [value for _, filed, value in hits
                 if _may_unify(filed.args, args, walk, template)]
 
@@ -275,15 +275,17 @@ class Solver:
         self.config = config or Config()
         self.counter = VarCounter(start=1_000_000)
         self.locals = self.counter.locals()   # mints refutation locals
-        self.subst = Substitution()
-        self.store = ConstraintStore()
+        self.trail = []                # (undo, a, b) entries, oldest first
+        self.subst = Substitution(self.trail)
+        self.store = ConstraintStore(self.trail)
         walk = self.subst.walk
-        self.delta = _Index(walk)      # Hypothesis values
-        self.denials = _Index(walk)    # (abducible lit, *residual conjunction)
-        self._clauses = _Index(walk, template=True)
+        self.delta = _Index(walk, self.trail)      # Hypothesis values
+        # (abducible lit, *residual conjunction) values
+        self.denials = _Index(walk, self.trail)
+        self._clauses = _Index(walk)
         for clause in theory.all_clauses():
             self._clauses.add(clause.head, clause)
-        self._ic_literals = _Index(walk, template=True)   # (ic, pos) values
+        self._ic_literals = _Index(walk)   # (ic, pos) values
         for ic in theory.ics:
             for pos, lit in enumerate(ic.body):
                 if isinstance(lit, UserLit):
@@ -294,16 +296,11 @@ class Solver:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _mark(self):
-        return (self.subst.mark(), self.store.snapshot(), len(self.delta),
-                len(self.denials))
+    def _mark(self) -> int:
+        return len(self.trail)
 
-    def _restore(self, mark):
-        smark, stmark, dlen, nlen = mark
-        self.delta.truncate(dlen)
-        self.denials.truncate(nlen)
-        self.store.restore(stmark)
-        self.subst.undo_to(smark)
+    def _restore(self, mark: int) -> None:
+        rewind(self.trail, mark)
 
     def _choice(self, step, mark=None):
         """Leave `step` to be tried on backtracking, from `mark` (default:
@@ -313,7 +310,10 @@ class Solver:
     def _fresh_locals(self, items):
         """Copies of the literals `items` under the substitution, with
         unbound local variables renamed apart; a local with a domain is
-        kept, since a renaming would drop its domain.
+        kept, since a renaming would drop its domain.  The constraints
+        that wait in the store on a renamed local, which has no domain
+        (`ConstraintStore.waiting`), are copied under the same renaming and
+        follow the copied literals.
 
         Each alternative of a refutation (clause resolution, hypothesis
         match) quantifies the conjunction's local existentials on its own;
@@ -325,9 +325,12 @@ class Solver:
         rest is made.
         """
         has_domain = self.store.has_domain
-        rename, _ = _renamer(self.locals, self.subst.walk,
-                             lambda v: not v.local or has_domain(v))
-        return [map_literal(i, rename) for i in items]
+        rename, renamed = _renamer(self.locals, self.subst.walk,
+                                   lambda v: not v.local or has_domain(v))
+        out = [map_literal(i, rename) for i in items]
+        constraints = self.store.constraints
+        return out + [ConstraintLit(map_constraint(constraints[i], rename))
+                      for i in self.store.waiting(renamed)]
 
     # -- top level -----------------------------------------------------------
 
@@ -398,11 +401,9 @@ class Solver:
     def _make_answer(self):
         delta = tuple(self.subst.resolve_literal(h.lit) for h in self.delta)
         prov = tuple(h.provenance for h in self.delta)
-        # bindings made since a constraint was posted may decide it, as
-        # when unification grounds the variable of a pending `X ## a`
-        st = self.store.mapped(self.subst.walk)
-        if st is None:
-            return None
+        # the store holds no bound variable (`ConstraintStore.bound`), so
+        # its copy reads no binding
+        st = self.store.clone()
         # project onto variables the answer can mention: those in the
         # hypotheses and those constrained by a residual constraint
         keep = set()
@@ -639,29 +640,26 @@ class Solver:
     def _fail_match(self, item: _Match, fail_rest, k):
         mark = self._mark()
         caps = []
-        if not all(unify_terms(a, b, self.subst, self.store, caps)
-                   for a, b in zip(item.a, item.b)):
-            self._restore(mark)
-            return k  # structurally impossible match
-        gcaps = None
-        if caps and all(v.local for v in self.subst.trail[mark[0]:]):
-            # every variable the match bound, as trailed since the mark,
-            # is local
-            gcaps = self._project_caps(caps)
-        if not all(self.store.post(c) for c in caps):
-            # the match is unsatisfiable in the current store
-            self._restore(mark)
-            return k
-        if gcaps:
-            # rejection branch, tried from before the match: the match is
-            # impossible exactly when some all-global captured equality is
-            # violated
-            folded = gcaps[0]
-            for c in gcaps[1:]:
-                folded = And(folded, c)
-            self._choice(lambda: k if self.store.post(negate(folded)) else None,
-                         mark)
-        return fail_rest
+        if all(unify_terms(a, b, self.subst, self.store, caps)
+               for a, b in zip(item.a, item.b)):
+            gcaps = None
+            if caps and all(v.local for v in self.subst.bound_since(mark)):
+                # every variable the match bound is local
+                gcaps = self._project_caps(caps)
+            if all(self.store.post(c) for c in caps):
+                if gcaps:
+                    # rejection branch, tried from before the match: the
+                    # match is impossible exactly when some all-global
+                    # captured equality is violated
+                    folded = gcaps[0]
+                    for c in gcaps[1:]:
+                        folded = And(folded, c)
+                    self._choice(lambda: k if self.store.post(negate(folded))
+                                 else None, mark)
+                return fail_rest
+        # the match is impossible, structurally or in the current store
+        self._restore(mark)
+        return k
 
     def _project_caps(self, caps):
         """Project captured equalities onto the global variables.

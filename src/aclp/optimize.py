@@ -138,7 +138,7 @@ class _Reference:
         self.counts = []   # per slot: the literal's multiplicity
         # (position, literal, slot) per hypothesis literal; a lookup drops
         # only those that `_binding` and `_collect_preferences` reject
-        self.index = _Index(lambda t: t, template=True)
+        self.index = _Index(lambda t: t)
         for pos, lit in enumerate(reference):
             if not isinstance(lit, UserLit):
                 continue

@@ -2,8 +2,10 @@
 
 Domains are finite sets of integers (kept as sorted ranges) or of atoms.
 Constraints are immutable values; the store holds the mutable state:
-variable domains, the set of active constraints and a trail so that
-snapshot/restore is exact.  Propagation runs to fixpoint after every post:
+variable domains and the set of active constraints.  Each change to them
+pushes its undo on a trail, the store's own or one that a solver shares
+with its substitution, so a restore to any snapshot is exact.
+Propagation runs to fixpoint after every post:
 bounds consistency for the order constraints, arc consistency for equality
 and disequality.  A disjunction is pruned once nothing else is woken: a
 side whose comparisons are all fixed is decided by their truth, and each
@@ -14,7 +16,12 @@ satisfiable side.
 Propagation is driven by an agenda of woken constraint indices.  Every
 constraint but a disjunction sits on the watch list of each variable it
 names: a domain write wakes the watchers of its variable, and adding a
-constraint wakes it.  One loop prunes the woken constraints, lowest index
+constraint wakes it.  A constraint, a disjunction too, also sits on the
+bind watch of each variable it names that has no domain when it enters:
+binding such a variable, which unification does only to a variable
+without a domain, re-enters the constraint resolved (`bound`), so the
+store never holds a bound variable and reads no bindings.  One loop
+prunes the woken constraints, lowest index
 first, until none is left; then it prunes each active disjunction once,
 in index order, and starts over as soon as one wakes a constraint or
 posts its surviving side.  A disjunction's probe reads the whole store,
@@ -42,7 +49,7 @@ from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .terms import (AclpError, Atom, Int, Struct, Term, Var, as_written,
-                    is_ground, map_term, term_vars)
+                    is_ground, map_term, rewind, term_vars)
 
 
 class StoreTypeError(AclpError):
@@ -384,12 +391,9 @@ def map_constraint(c: Constraint, f) -> Constraint:
 
 
 def _watched(c: Constraint):
-    """The ids of the variables whose writes wake `c`, each once: those its
-    operands name, none for a disjunction, which the propagation loop
-    prunes once the rest is at fixpoint.  The store holds no other
-    connective."""
-    if isinstance(c, Or):
-        return ()
+    """The ids of the variables that `c` names, each once."""
+    if isinstance(c, _Junction):
+        return {v.id: None for v in constraint_vars(c)}
     ids = {}
     for t in (c.a, c.b):
         if isinstance(t, Var):
@@ -474,17 +478,21 @@ DEFAULT_HI = 10_000_000       # variable, implementation-wide
 
 
 class ConstraintStore:
-    def __init__(self):
+    def __init__(self, trail: list = None):
         self.domains: dict[int, Domain] = {}
         self.var_names: dict[int, str] = {}
         self.constraints: list[Constraint] = []
         self.states: list[int] = []
         self.consistent = True
-        self._trail: list[tuple] = []
+        self.trail = [] if trail is None else trail   # (undo, a, b) entries
         self._probing = 0             # nesting depth of satisfiability probes
-        # watch lists: variable id -> indices of the constraints naming it,
-        # in increasing order; the disjunctions' indices are kept apart
-        self._watch: dict[int, list[int]] = {}
+        # watch lists, variable id -> indices of the constraints naming it,
+        # in increasing order: `watch` for domain writes, which leaves the
+        # disjunctions to `_ors`, and `bind_watch` for bindings, which holds
+        # each constraint under the variables without a domain when it
+        # entered
+        self.watch: dict[int, list[int]] = {}
+        self.bind_watch: dict[int, list[int]] = {}
         self._ors: list[int] = []
         # the agenda: a heap of the woken indices, each waiting once
         self._agenda: list[int] = []
@@ -493,51 +501,45 @@ class ConstraintStore:
 
     # -- trail ---------------------------------------------------------------
 
-    def snapshot(self) -> tuple:
-        return (len(self._trail), len(self.constraints))
+    def snapshot(self) -> int:
+        return len(self.trail)
 
-    def restore(self, mark: tuple) -> None:
-        tlen, clen = mark
-        if tlen > len(self._trail) or clen > len(self.constraints):
+    def restore(self, mark: int) -> None:
+        if mark > len(self.trail):
             raise StaleMarkError(f"stale mark {mark}")
-        while len(self._trail) > tlen:
-            op = self._trail.pop()
-            kind = op[0]
-            if kind == "dom":
-                _, vid, old = op
-                if old is None:
-                    del self.domains[vid]
-                    self.var_names.pop(vid, None)
-                else:
-                    self.domains[vid] = old
-            elif kind == "state":
-                _, idx, old = op
-                self.states[idx] = old
-            elif kind == "flag":
-                self.consistent = op[1]
-        for idx in range(len(self.constraints) - 1, clen - 1, -1):
-            c = self.constraints[idx]
-            if isinstance(c, Or):
-                self._ors.pop()
-            for vid in _watched(c):
-                watchers = self._watch[vid]
-                watchers.pop()
-                if not watchers:
-                    del self._watch[vid]
-        del self.constraints[clen:]
-        del self.states[clen:]
-        self._agenda.clear()        # what a failed propagation left woken
-        self._queued.clear()
+        rewind(self.trail, mark)
 
     def _set_domain(self, v: Var, dom: Domain) -> None:
         old = self.domains.get(v.id)
-        self._trail.append(("dom", v.id, old))
-        self.domains[v.id] = dom
         if old is None:
             self.var_names[v.id] = v.name
-        for idx in self._watch.get(v.id, ()):
+            self.trail.append((self._undeclare, v.id, None))
+        else:
+            self.trail.append((self.domains.__setitem__, v.id, old))
+        self.domains[v.id] = dom
+        for idx in self.watch.get(v.id, ()):
             if self.states[idx] == ACTIVE:
                 self._wake(idx)
+
+    def _undeclare(self, vid: int, _) -> None:
+        del self.domains[vid]
+        self.var_names.pop(vid, None)
+
+    def _unenter(self, woken_by, untyped) -> None:
+        """Undo `_enter` of the newest constraint, which `woken_by` and
+        `untyped` watch."""
+        if isinstance(self.constraints.pop(), Or):
+            self._ors.pop()
+        self.states.pop()
+        for watch, vids in ((self.watch, woken_by),
+                            (self.bind_watch, untyped)):
+            for vid in vids:
+                watchers = watch[vid]
+                watchers.pop()
+                if not watchers:
+                    del watch[vid]
+        self._agenda.clear()     # what a propagation that raised left woken
+        self._queued.clear()
 
     def _wake(self, idx: int) -> None:
         if idx not in self._queued:
@@ -545,13 +547,15 @@ class ConstraintStore:
             heappush(self._agenda, idx)
 
     def _set_state(self, idx: int, state: int) -> None:
-        self._trail.append(("state", idx, self.states[idx]))
+        self.trail.append((self.states.__setitem__, idx, self.states[idx]))
         self.states[idx] = state
 
     def _fail(self) -> bool:
         if self.consistent:
-            self._trail.append(("flag", True))
+            self.trail.append((self.__setattr__, "consistent", True))
             self.consistent = False
+            self._agenda.clear()     # what the failed propagation left woken
+            self._queued.clear()
         return False
 
     # -- declarations --------------------------------------------------------
@@ -575,11 +579,6 @@ class ConstraintStore:
             return self._fail()
         return self._propagate()
 
-    def declare_default(self, v: Var) -> bool:
-        if self.has_domain(v):
-            return True
-        return self.declare(v, IntDomain.range(DEFAULT_LO, DEFAULT_HI))
-
     # -- posting and propagation ---------------------------------------------
 
     def post(self, c: Constraint) -> bool:
@@ -598,25 +597,41 @@ class ConstraintStore:
 
     def _enter(self, c: Constraint) -> None:
         """Append `c` as active and watched, and wake it unless it is a
-        disjunction, which the loop prunes once the rest is at fixpoint."""
+        disjunction, which no domain write wakes: the loop prunes it once
+        the rest is at fixpoint."""
         idx = len(self.constraints)
         self.constraints.append(c)
         self.states.append(ACTIVE)
-        self._watch_one(idx, c)
-        if not isinstance(c, Or):
-            self._wake(idx)
-
-    def _watch_one(self, idx: int, c: Constraint) -> None:
+        named = _watched(c)
+        untyped = [vid for vid in named if vid not in self.domains]
         if isinstance(c, Or):
             self._ors.append(idx)
-        for vid in _watched(c):
-            self._watch.setdefault(vid, []).append(idx)
+            woken_by = ()
+        else:
+            woken_by = named
+            self._wake(idx)
+        for watch, vids in ((self.watch, woken_by),
+                            (self.bind_watch, untyped)):
+            for vid in vids:
+                watch.setdefault(vid, []).append(idx)
+        self.trail.append((self._unenter, woken_by, untyped))
 
-    def _watch_all(self) -> None:
-        """Build the watch lists from the constraint list."""
-        self._watch, self._ors = {}, []
-        for idx, c in enumerate(self.constraints):
-            self._watch_one(idx, c)
+    def bound(self, v: Var, walk) -> bool:
+        """Take in the binding of `v`, a variable without a domain: each
+        active constraint naming it is marked entailed and posted again,
+        resolved through `walk`.  False when that fails."""
+        woken = self.waiting((v.id,))
+        for idx in woken:
+            self._set_state(idx, ENTAILED)
+        return all(self.post(map_constraint(self.constraints[idx], walk))
+                   for idx in woken)
+
+    def waiting(self, vids) -> list:
+        """The indices of the active constraints on the bind watch of the
+        variables with ids `vids`, each once."""
+        return list({idx: None for vid in vids
+                     for idx in self.bind_watch.get(vid, ())
+                     if self.states[idx] == ACTIVE})
 
     def _prepare_scalar(self, c) -> bool:
         """Give default integer domains to undeclared arithmetic variables."""
@@ -626,7 +641,8 @@ class ConstraintStore:
         for (x, _, _), (y, _, dy) in ((a, b), (b, a)):
             if x is not None and not self.has_domain(x):
                 if isinstance(c, _ARITH) or not isinstance(dy, AtomDomain):
-                    if not self.declare_default(x):
+                    if not self.declare(x, IntDomain.range(DEFAULT_LO,
+                                                           DEFAULT_HI)):
                         return False
                 elif isinstance(c, Eq) and y is None:    # X #= atom
                     if not self.declare(x, dy):
@@ -949,27 +965,18 @@ class ConstraintStore:
     # -- misc ----------------------------------------------------------------
 
     def clone(self) -> "ConstraintStore":
+        """A copy with a trail of its own, an empty one."""
         out = ConstraintStore()
         out.domains = dict(self.domains)
         out.var_names = dict(self.var_names)
         out.constraints = list(self.constraints)
         out.states = list(self.states)
         out.consistent = self.consistent
-        out._watch = {vid: list(ixs) for vid, ixs in self._watch.items()}
+        out.watch = {vid: list(ixs) for vid, ixs in self.watch.items()}
+        out.bind_watch = {vid: list(ixs)
+                          for vid, ixs in self.bind_watch.items()}
         out._ors = list(self._ors)
         return out
-
-    def mapped(self, f) -> Optional["ConstraintStore"]:
-        """A clone with each constraint's operands mapped by `map_term(., f)`,
-        propagated with every active comparison woken; None when that
-        fails."""
-        out = self.clone()
-        out.constraints = [map_constraint(c, f) for c in out.constraints]
-        out._watch_all()
-        out._agenda = [i for i, c in enumerate(out.constraints)
-                       if out.states[i] == ACTIVE and not isinstance(c, Or)]
-        out._queued = set(out._agenda)
-        return out if out._propagate() else None
 
     def active_constraints(self) -> list:
         return [c for c, s in zip(self.constraints, self.states) if s == ACTIVE]

@@ -2,9 +2,12 @@
 apart, and printing in source syntax.
 
 Terms are immutable; all mutation during a derivation goes through a
-Substitution (a trailed binding map) so that backtracking can undo it.
-Variables attached to a finite domain are never bound directly: equating
-them is delegated to the constraint store so propagation sees it.
+Substitution (a binding map that pushes each binding on a trail) so that
+backtracking can undo it.  Variables attached to a finite domain are never
+bound directly: equating them is delegated to the constraint store so
+propagation sees it.  Binding a variable that a store constraint names
+re-enters that constraint resolved, so the store never holds a bound
+variable.
 
 The `format_*` printers give a term, constraint, literal or clause in
 source syntax, and every error message prints through them, by
@@ -339,28 +342,43 @@ def as_written(x) -> str:
 # Substitution
 # ---------------------------------------------------------------------------
 
-class Substitution:
-    """Trailed binding map from variable id to term.
+def rewind(trail: list, mark: int) -> None:
+    """Undo the entries pushed on `trail` since its length was `mark`,
+    newest first.
 
-    `bind` records each binding on a trail so `undo_to` can roll back to any
-    earlier mark, which is how choice points are implemented.
+    Each entry is (undo, a, b), undone by the call undo(a, b).  A solver's
+    substitution, store and indexes push onto one trail, so one mark and
+    one loop undo them all; a standalone substitution or store keeps a
+    trail of its own."""
+    while len(trail) > mark:
+        undo, a, b = trail.pop()
+        undo(a, b)
+
+
+class Substitution:
+    """Binding map from variable id to term, undone through a trail.
+
+    `bind` pushes each binding on `trail`, its own unless one is given, so
+    `rewind` can roll back to any earlier length of it, which is how choice
+    points are implemented.
     """
 
-    def __init__(self):
+    def __init__(self, trail: list = None):
         self.bindings: dict[int, Term] = {}
-        self.trail: list[Var] = []    # the variables bound, oldest first
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            del self.bindings[self.trail.pop().id]
+        self.trail = [] if trail is None else trail
+        # a binding's undo: bindings.pop(id, var), whose default is never
+        # read but names the variable bound (`bound_since`)
+        self._unbind = self.bindings.pop
 
     def bind(self, v: Var, t: Term) -> None:
         assert v.id not in self.bindings
         self.bindings[v.id] = t
-        self.trail.append(v)
+        self.trail.append((self._unbind, v.id, v))
+
+    def bound_since(self, mark: int) -> list:
+        """The variables bound since the trail's length was `mark`, oldest
+        first."""
+        return [v for undo, _, v in self.trail[mark:] if undo is self._unbind]
 
     def walk(self, t: Term) -> Term:
         """Follow variable bindings one level (until unbound var or non-var)."""
@@ -399,11 +417,12 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
     """Unify in place; emits equality constraints for domain variables.
 
     Returns False on structural mismatch, occurs-check violation or when a
-    delegated equality makes the store unsatisfiable.  Caller is responsible
-    for undoing subst/store marks on failure.  Given `caps`, those
-    equalities are collected there instead of posted.  Every binding goes
-    through `subst.bind`, so the trail since a mark names each variable
-    bound.
+    delegated equality, or a store constraint that a binding resolves,
+    makes the store unsatisfiable.  Caller is responsible for rewinding
+    the trail on failure.  Given `caps`, those equalities are collected
+    there instead of posted; the resolved constraints are still posted.
+    Only a variable without a domain is bound, and every binding goes
+    through `subst.bind`.
     """
     pairs = [(t1, t2)]
     while pairs:
@@ -414,24 +433,24 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
             continue
         d1 = isinstance(t1, Var) and store.has_domain(t1)
         d2 = isinstance(t2, Var) and store.has_domain(t2)
-        if d1 or d2:
-            # Domain-constrained variables are equated through the store.
-            other = t2 if d1 else t1
-            if isinstance(other, Struct):
+        if d1 and (d2 or not isinstance(t2, Var)) \
+                or d2 and not isinstance(t1, Var):
+            # a domain variable is equated through the store, with another
+            # one or with a constant
+            if isinstance(t2 if d1 else t1, Struct):
                 return False  # domain values are scalars
-            if isinstance(other, Var) and not (d1 and d2):
-                # plain variable: bind it to the domain variable instead
-                plain, dom = (t2, t1) if d1 else (t1, t2)
-                subst.bind(plain, dom)
-            elif caps is not None:
+            if caps is not None:
                 caps.append(_store.Eq(t1, t2))
             elif not store.post(_store.Eq(t1, t2)):
                 return False
         elif isinstance(t1, Var) or isinstance(t2, Var):
-            v, t = (t1, t2) if isinstance(t1, Var) else (t2, t1)
+            # bind a variable, the plain one beside a domain variable
+            v, t = (t2, t1) if d1 or not isinstance(t1, Var) else (t1, t2)
             if isinstance(t, Struct) and subst.occurs(v, t):
                 return False
             subst.bind(v, t)
+            if v.id in store.bind_watch and not store.bound(v, subst.walk):
+                return False
         elif isinstance(t1, Struct) and isinstance(t2, Struct):
             if t1.functor != t2.functor or t1.arity != t2.arity:
                 return False
@@ -447,7 +466,7 @@ def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
 
 def unify(t1: Term, t2: Term, store) -> Optional[tuple]:
     """Functional facade: returns (Substitution, store) or None on failure."""
-    subst = Substitution()
+    subst = Substitution(store.trail)
     smark = store.snapshot()
     if unify_terms(t1, t2, subst, store):
         return subst, store

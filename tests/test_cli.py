@@ -1,7 +1,10 @@
 """Command-line behavior: modes, exit codes, output formats."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -337,10 +340,42 @@ def test_bench_reschedule_small(capsys):
 
 
 def test_bench_reschedule_reports_no_answer(monkeypatch, capsys):
-    monkeypatch.setattr("aclp.corpus.solve", lambda *args, **kwargs: iter(()))
+    monkeypatch.setattr("aclp.corpus.Solver.solve",
+                        lambda *args, **kwargs: iter(()))
     code, out, _ = run(capsys, "bench", "reschedule", "--sizes", "6")
     assert code == 0
     assert out.strip().splitlines()[-1].endswith("NO ANSWER")
+
+
+def test_bench_names_a_search_that_its_budget_cut(capsys):
+    # blocks 7, seed 10 finds no plan in 1,000 steps: that is no proof
+    # that it has none
+    code, out, _ = run(capsys, "bench", "blocksworld", "--sizes", "7",
+                       "--seed", "10", "--max-steps", "1000")
+    assert code == 0
+    row = out.strip().splitlines()[-1].split()
+    assert row[0] == "7" and row[2:] == ["1000", "steps", "BUDGET"]
+
+
+@pytest.mark.parametrize("json_flag", [["--json"], []])
+def test_a_reader_that_closes_stdout_early_sees_no_traceback(tmp_path,
+                                                            json_flag):
+    # the pipe's read end is closed before the CLI writes, so its first
+    # write meets a broken pipe; the exit code is still the answers' own
+    p = tmp_path / "many.aclp"
+    p.write_text("abducible_predicate(a/1).\ng(X) :- X :: 1..60, a(X).\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aclp.cli", "solve", str(p), "--goal",
+             "g(X)", "--all", "50", *json_flag],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_disjunction_wider_than_the_recursion_limit(tmp_path, capsys):

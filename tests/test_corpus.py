@@ -2,8 +2,11 @@
 
 import math
 
-from aclp.corpus import (BlocksInstance, add_unavailability,
-                         event_calculus_program, generate_blocks,
+import pytest
+
+from aclp import Config
+from aclp.corpus import (BlocksInstance, StepBudgetError, add_unavailability,
+                         event_calculus_program, first_ground, generate_blocks,
                          generate_jobshop)
 from aclp.parser import parse_theory
 
@@ -93,3 +96,11 @@ def test_add_unavailability_adds_one_window():
     # deterministic as well
     again = add_unavailability(inst, seed=0)
     assert again.windows == out.windows and again.program == out.program
+
+
+def test_first_ground_tells_a_cut_search_from_one_with_no_answer():
+    inst = generate_blocks(7, seed=10)
+    with pytest.raises(StepBudgetError, match="no answer in 1000 steps"):
+        first_ground(inst, Config(max_steps=1000))
+    inst.goal_text = "fail"
+    assert first_ground(inst, Config(max_steps=1000)) is None

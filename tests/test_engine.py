@@ -19,7 +19,7 @@ from aclp.engine import (DepthLimitExceededError,
 from aclp.parser import format_literal
 from aclp.store import IntDomain, StoreTypeError
 from aclp.terms import (AclpError, Atom, Int, Struct, Substitution,
-                        UnknownPredicateError, UserLit, Var)
+                        UnknownPredicateError, UserLit, Var, rewind)
 
 from oracles import (canonical_ids, random_naf_program_text,
                      random_theory_text)
@@ -311,6 +311,65 @@ def test_each_job_shop_residual_is_posted_once():
     stream.close()
     residuals = [repr(c) for c in ans.store.active_constraints()]
     assert len(residuals) == len(set(residuals)) == 17
+
+
+@pytest.mark.parametrize("body", [
+    "p(Z), W ## a, s(W)",
+    "p(Z), s(W), W ## a",
+    "p(Z), W ##= b, s(W)",
+    "p(Z), s(W), W ##= b",
+])
+def test_an_ic_on_an_untyped_local_answers_in_either_order(body):
+    # W has no domain, so `W ## a` waits in the store; binding W by
+    # resolving s(W) re-enters it as `a ## a`, which refutes the IC body
+    # whichever literal comes first
+    from oracles import goal_derivable, violated_ics
+    text = f"""
+        abducible_predicate(p/1).
+        s(a).
+        g :- p(1).
+        ic :- {body}.
+    """
+    theory = compile_naf(parse_theory(text), mode="autogenerate")
+    goal = parse_goal("g")
+    out = answers(text, "g")
+    assert [repr(a.delta) for a in out] == ["(p(1),)"]
+    for ans in out:
+        ground = ans.ground_delta(next(ans.labellings()))
+        assert goal_derivable(theory, ground, goal)
+        assert not violated_ics(theory, ground)
+
+
+@pytest.mark.parametrize("body", ["p(Z), W ## a, s(W)",
+                                  "p(Z), s(W), W ## a"])
+def test_each_clause_refutes_its_own_copy_of_an_untyped_local(body):
+    # refuting s(c) binds its copy of W to c; s(b) meets a W of its own,
+    # with `W ## a` copied onto it, and b ## a holds: the IC rules p(1) out
+    from oracles import violated_ics
+    text = f"""
+        abducible_predicate(p/1).
+        s(c) :- fail.
+        s(b).
+        g :- p(1).
+        ic :- {body}.
+    """
+    assert answers(text, "g") == []
+    theory = compile_naf(parse_theory(text), mode="autogenerate")
+    assert violated_ics(theory, (UserLit("p", (Int(1),)),))
+
+
+def test_a_disjunction_over_an_untyped_variable_is_decided_by_its_binding():
+    # X ## a is undecided until q(X) binds X, and then false, so the
+    # disjunction leaves Y #= 1
+    text = """
+        abducible_predicate(p/1).
+        q(a).
+        g :- Y :: 0..1, X ## a #\\/ Y #= 1, q(X), p(Y).
+    """
+    (ans,) = answers(text, "g")
+    assert [format_literal(l) for l in ans.delta] == ["p(Y)"]
+    assert ans.store.render().splitlines()[0] == "Y ∈ {1}"
+    assert ans.store.active_constraints() == []
 
 
 # -- negation as failure ----------------------------------------------------
@@ -783,8 +842,10 @@ def test_a_variable_first_argument_hypothesis_matches_every_key(
 def test_the_index_keeps_insertion_order_and_truncates_exactly():
     # a variable first argument, filed or bound later, matches every key;
     # a lookup tests the other arguments too
+    # an index with a trail pushes each entry's undo on it, as the
+    # substitution pushes each binding's
     subst = Substitution()
-    index = engine._Index(subst.walk)
+    index = engine._Index(subst.walk, subst.trail)
     v, w = Var("V", 1), Var("W", 2)
 
     def a(first, second=Atom("p")):
@@ -793,17 +854,17 @@ def test_the_index_keeps_insertion_order_and_truncates_exactly():
     for i, first in enumerate((Int(2), v, Int(3), Int(2))):
         index.add(a(first), i)
     subst.bind(v, Int(3))   # keyless, so found by key 2 and then rejected
-    assert len(index) == 4 and list(index) == [0, 1, 2, 3]
+    assert list(index) == [0, 1, 2, 3]
     assert index.lookup(a(Int(2))) == [0, 3]
     assert index.lookup(a(Int(3))) == [1, 2]
     assert index.lookup(a(Int(4))) == []
     assert index.lookup(a(w)) == [0, 1, 2, 3]
     assert index.lookup(a(w, Atom("q"))) == []
     assert index.lookup(UserLit("a", (Int(2),))) == []
-    subst.undo_to(0)
+    rewind(subst.trail, 4)
     assert index.lookup(a(Int(2))) == [0, 1, 3]
     assert index.lookup(a(Int(4))) == [1]
-    index.truncate(2)
+    rewind(subst.trail, 2)
     assert list(index) == [0, 1]
     assert index.lookup(a(Int(2))) == [0, 1]
     assert index.lookup(a(Int(3))) == [1]
@@ -818,7 +879,7 @@ def test_a_template_index_files_and_tests_literals_as_written():
     subst = Substitution()
     x = Var("X", 0)
     subst.bind(x, Atom("b"))
-    index = engine._Index(subst.walk, template=True)
+    index = engine._Index(subst.walk)
     index.add(UserLit("q", (x,)), "head")
     assert index.lookup(UserLit("q", (Atom("a"),))) == ["head"]
     assert index.lookup(UserLit("q", (x,))) == ["head"]

@@ -21,6 +21,7 @@ With names, only those cases are re-recorded and every other one stays
 byte-identical; with none, every case is.
 """
 
+import itertools
 import json
 import pathlib
 import random
@@ -31,6 +32,8 @@ import pytest
 from aclp import (Config, compile_naf, parse_goal, parse_theory, reschedule,
                   solve)
 from aclp.corpus import generate_blocks, generate_jobshop, reschedule_case
+from aclp.engine import Solver
+from aclp.store import map_constraint
 
 from oracles import canonical_ids, random_naf_program_text, random_theory_text
 
@@ -74,29 +77,37 @@ def reschedule_record(n, seed):
             "labelling": _labelling(best.valuation), "error": None}
 
 
-def cases():
-    """(name, thunk) for every recorded program, in a fixed order."""
+def programs():
+    """(name, thunk giving (theory, goal)) for every recorded stream, in a
+    fixed order."""
     out = []
     for seed in range(200):
         text, goal = random_theory_text(random.Random(seed))
         out.append((f"theory-{seed}", lambda text=text, goal=goal:
-                    stream_record(parse_theory(text), parse_goal(goal))))
+                    (parse_theory(text), parse_goal(goal))))
     for seed in range(50):
         text, goal = random_naf_program_text(random.Random(seed))
         if goal is None:
             continue
-        out.append((f"naf-{seed}", lambda text=text, goal=goal: stream_record(
+        out.append((f"naf-{seed}", lambda text=text, goal=goal: (
             compile_naf(parse_theory(text), mode="autogenerate"),
             parse_goal(goal))))
     for n in (3, 4, 5):
         inst = generate_blocks(n, 1)
-        out.append((f"blocks-{n}", lambda inst=inst: stream_record(
+        out.append((f"blocks-{n}", lambda inst=inst: (
             compile_naf(parse_theory(inst.program), mode="validate"),
             parse_goal(inst.goal_text))))
     for n in (10, 25):
         inst = generate_jobshop(n, 1)
-        out.append((f"jobshop-{n}", lambda inst=inst: stream_record(
+        out.append((f"jobshop-{n}", lambda inst=inst: (
             parse_theory(inst.program), parse_goal(inst.goal_text))))
+    return out
+
+
+def cases():
+    """(name, thunk) for every recorded program, in a fixed order."""
+    out = [(name, lambda make=make: stream_record(*make()))
+           for name, make in programs()]
     for seed in (1, 2, 3):
         out.append((f"reschedule-10-s{seed}",
                     lambda seed=seed: reschedule_record(10, seed)))
@@ -184,6 +195,32 @@ def test_answer_streams_match_the_golden_record(golden, kind):
     for name, run in cases():
         if name.split("-")[0] == kind:
             assert canonical_ids(run()) == canonical_ids(golden[name]), name
+
+
+# programs whose constraints name variables without a domain, which a
+# later unification binds
+_UNTYPED = [
+    "s(a).\ng :- p(1).\nic :- p(Z), W ## a, s(W).",
+    "q(Y, Y).\ng :- X ## a, q(X, Y), p(Y).",
+    "q(a).\ng :- Y :: 0..1, X ## a #\\/ Y #= 1, q(X), p(Y).",
+    "q(f(b)).\ng :- X ## a #\\/ X ## b, q(f(X)), p(X).",
+]
+
+
+def test_an_answer_store_holds_no_bound_variable():
+    # the store re-enters a constraint when a variable it names is bound,
+    # so an answer's store reads the same through the solver's bindings
+    untyped = [(f"untyped-{i}", lambda text=text: (
+        parse_theory("abducible_predicate(p/1).\n" + text), parse_goal("g")))
+        for i, text in enumerate(_UNTYPED)]
+    for name, make in programs() + untyped:
+        theory, goal = make()
+        solver = Solver(theory, Config())
+        stream = solver.solve(goal)
+        for ans in itertools.islice(stream, ANSWERS):
+            for c in ans.store.active_constraints():
+                assert c == map_constraint(c, solver.subst.walk), (name, c)
+        stream.close()
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ import pytest
 
 from aclp.store import (ACTIVE, And, AtomDomain, ConstraintStore, Eq, Ge, Gt,
                         IntDomain, Le, Lt, Neq, Or, StoreTypeError, TermEq,
-                        TermNeq, constraint_vars, map_constraint, negate,
-                        split_offset)
+                        TermNeq, _watched, constraint_vars, map_constraint,
+                        negate, split_offset)
 from aclp.terms import Atom, Int, Struct, Var
 
 from oracles import brute_force_solutions, build_store, store_solutions
@@ -396,9 +396,20 @@ def _assert_at_fixpoint(store):
 
 
 def _assert_watch_lists_rebuilt(store):
-    rebuilt = store.clone()
-    rebuilt._watch_all()
-    assert (store._watch, store._ors) == (rebuilt._watch, rebuilt._ors)
+    # every constraint but a disjunction is on the watch list of each
+    # variable it names, and the disjunctions are listed apart; each bind
+    # watch list names constraints that name its variable
+    watch, ors = {}, []
+    for idx, c in enumerate(store.constraints):
+        if isinstance(c, Or):
+            ors.append(idx)
+        else:
+            for vid in _watched(c):
+                watch.setdefault(vid, []).append(idx)
+    assert (store.watch, store._ors) == (watch, ors)
+    for vid, ixs in store.bind_watch.items():
+        assert ixs and ixs == sorted(set(ixs))
+        assert all(vid in _watched(store.constraints[i]) for i in ixs)
 
 
 def test_propagation_reaches_a_fixpoint_and_restore_trims_the_watch_lists():

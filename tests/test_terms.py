@@ -2,10 +2,10 @@
 
 import pytest
 
-from aclp.store import ConstraintStore, IntDomain
+from aclp.store import ConstraintStore, IntDomain, Neq, Or
 from aclp.terms import (Atom, Clause, Int, Struct, Substitution, UserLit, Var,
-                        VarCounter, is_ground, standardize_apart, term_vars,
-                        unify, unify_terms)
+                        VarCounter, is_ground, rewind, standardize_apart,
+                        term_vars, unify, unify_terms)
 
 
 def test_unify_binds_var_inside_struct():
@@ -55,28 +55,59 @@ def test_unify_occurs_check():
 def test_substitution_trail_is_lifo():
     s = Substitution()
     x, y = Var("X", 0), Var("Y", 1)
-    m0 = s.mark()
+    m0 = len(s.trail)
     s.bind(x, Int(1))
-    m1 = s.mark()
+    m1 = len(s.trail)
     s.bind(y, Atom("a"))
     assert s.resolve(y) == Atom("a")
-    s.undo_to(m1)
+    assert s.bound_since(m0) == [x, y] and s.bound_since(m1) == [y]
+    rewind(s.trail, m1)
     assert s.resolve(y) == y
     assert s.resolve(x) == Int(1)
-    s.undo_to(m0)
+    rewind(s.trail, m0)
     assert s.resolve(x) == x
+    assert s.trail == [] and s.bindings == {}
 
 
 def test_unify_terms_is_undone_by_trail():
-    s = Substitution()
+    # one trail undoes the bindings and the store's domain writes alike
     store = ConstraintStore()
-    x = Var("X", 0)
-    m = s.mark()
-    assert unify_terms(Struct("f", (x, Int(2))), Struct("f", (Int(1), Int(2))),
+    s = Substitution(store.trail)
+    x, d = Var("X", 0), Var("D", 1)
+    assert store.declare(d, IntDomain.range(1, 5))
+    m = len(store.trail)
+    assert unify_terms(Struct("f", (x, d)), Struct("f", (Int(1), Int(2))),
                        s, store)
     assert s.resolve(x) == Int(1)
-    s.undo_to(m)
+    assert store.domains[d.id] == IntDomain.range(2, 2)
+    assert s.bound_since(m) == [x]
+    rewind(store.trail, m)
     assert s.resolve(x) == x
+    assert store.domains[d.id] == IntDomain.range(1, 5)
+    assert store.render() == "D ∈ {1..5}"
+
+
+def test_a_binding_re_enters_the_constraints_that_name_its_variable():
+    # X, Y and Z have no domain: `X ## a` waits, and the disjunction has
+    # two satisfiable sides until Z is bound
+    store = ConstraintStore()
+    s = Substitution(store.trail)
+    x, y, z, d = Var("X", 0), Var("Y", 1), Var("Z", 2), Var("D", 3)
+    assert store.declare(d, IntDomain.range(0, 1))
+    assert store.post(Neq(x, Atom("a")))
+    assert store.post(Or(Neq(z, Atom("a")), Neq(d, Int(0))))
+    m = store.snapshot()
+    assert unify_terms(x, y, s, store)
+    assert store.render() == ("D ∈ {0..1}\n(_Z#2 ## a #\\/ _D#3 ## 0)\n"
+                              "_Y#1 ## a")
+    assert not unify_terms(y, Atom("a"), s, store)
+    store.restore(m)
+    assert unify_terms(z, Atom("a"), s, store)
+    assert store.render() == "D ∈ {1}\n_X#0 ## a"
+    store.restore(m)
+    assert store.render() == ("D ∈ {0..1}\n_X#0 ## a\n"
+                              "(_Z#2 ## a #\\/ _D#3 ## 0)")
+    assert s.bindings == {}
 
 
 def test_standardize_apart_renames_all_vars_consistently():
