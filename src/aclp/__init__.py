@@ -2,7 +2,8 @@
 integrity constraints over a finite-domain constraint store."""
 
 from .engine import (Answer, Config, DepthLimitExceededError, Hypothesis,
-                     InitialHypothesisInconsistentError, Solver, solve)
+                     InitialHypothesisInconsistentError, Solver,
+                     StepBudgetError, solve)
 from .optimize import (EmptyStreamError, GroundAnswer, UnknownVariableError,
                        change_count, find_cost_var, min_changes, minimize,
                        reschedule)
@@ -19,11 +20,12 @@ __all__ = [
     "ConstraintLit", "ConstraintStore", "DepthLimitExceededError",
     "EmptyStreamError", "GroundAnswer", "Hypothesis",
     "InitialHypothesisInconsistentError", "Int", "IntegrityConstraint",
-    "NafLit", "ParseError", "ParseFailure", "Solver", "Struct",
-    "Substitution", "TheoryError", "UnknownVariableError", "UserLit", "Var",
-    "VarCounter", "change_count", "compile_naf", "find_cost_var",
-    "format_theory", "min_changes", "minimize", "negate", "parse_goal",
-    "parse_theory", "reschedule", "solve", "standardize_apart", "unify",
+    "NafLit", "ParseError", "ParseFailure", "Solver", "StepBudgetError",
+    "Struct", "Substitution", "TheoryError", "UnknownVariableError",
+    "UserLit", "Var", "VarCounter", "change_count", "compile_naf",
+    "find_cost_var", "format_theory", "min_changes", "minimize", "negate",
+    "parse_goal", "parse_theory", "reschedule", "solve", "standardize_apart",
+    "unify",
 ]
 
 __version__ = "0.1.0"

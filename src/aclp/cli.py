@@ -13,10 +13,12 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
+from itertools import islice
 
-from .engine import Answer, Config, Solver
-from .corpus import (StepBudgetError, first_ground, generate_blocks,
-                     generate_jobshop, reschedule_case)
+from .engine import Answer, Config, Solver, StepBudgetError
+from .corpus import (first_ground, generate_blocks, generate_jobshop,
+                     reschedule_case)
 from .optimize import (GroundAnswer, change_count, find_cost_var, minimize,
                        reschedule)
 from .parser import parse_facts, parse_goal, parse_theory
@@ -131,43 +133,38 @@ def _cmd_solve(args) -> int:
     strategy = _STRATEGIES[args.strategy]
 
     blocks, docs = [], []
-    if args.min_changes:
-        reference = tuple(parse_facts(reference_text))
-        ga = reschedule(theory, goal, reference, config=config,
-                        strategy=strategy)
-        blocks.append(_render_ground(ga))
-        docs.append(_json_ground(ga))
-    else:
-        solver = Solver(theory, config)
-        answers = solver.solve(goal, initial)
-        try:
-            if args.minimize:
-                ans = next(answers, None)
-                if ans is not None:
-                    ga = minimize(ans, find_cost_var(ans, args.minimize),
-                                  strategy)
-                    if ga is not None:
-                        blocks.append(_render_ground(ga))
-                        docs.append(_json_ground(ga))
-            else:
-                count = args.all or 1
-                for i, ans in enumerate(answers):
-                    if args.label:
-                        ga = _label_answer(ans, strategy)
-                        if ga is None:
-                            continue
-                        blocks.append(_render_ground(ga))
-                        docs.append(_json_ground(ga))
-                    else:
-                        blocks.append(_render_answer(ans))
-                        docs.append(_json_answer(ans))
-                    if i + 1 >= count:
-                        break
-        finally:
-            answers.close()
-        if not blocks and solver.budget_hit:
-            print(f"no answer within the step budget "
-                  f"(--max-steps {args.max_steps})", file=sys.stderr)
+    try:
+        if args.min_changes:
+            reference = tuple(parse_facts(reference_text))
+            ga = reschedule(theory, goal, reference, config=config,
+                            strategy=strategy)
+            blocks.append(_render_ground(ga))
+            docs.append(_json_ground(ga))
+        else:
+            answers = Solver(theory, config).solve(goal, initial)
+            with closing(answers):
+                if args.minimize:
+                    ans = next(answers, None)
+                    if ans is not None:
+                        ga = minimize(ans, find_cost_var(ans, args.minimize),
+                                      strategy)
+                        if ga is not None:
+                            blocks.append(_render_ground(ga))
+                            docs.append(_json_ground(ga))
+                else:
+                    for ans in islice(answers, args.all or 1):
+                        if args.label:
+                            ga = _label_answer(ans, strategy)
+                            if ga is None:
+                                continue
+                            blocks.append(_render_ground(ga))
+                            docs.append(_json_ground(ga))
+                        else:
+                            blocks.append(_render_answer(ans))
+                            docs.append(_json_answer(ans))
+    except StepBudgetError as e:
+        print(f"no answer within the step budget (--max-steps {e.limit})",
+              file=sys.stderr)
 
     if args.json:
         _out(render_json(docs))
@@ -225,8 +222,8 @@ def _cmd_bench(args) -> int:
         t0 = time.perf_counter()
         try:
             metric, verdict = suite(n, args.seed, config)
-        except StepBudgetError:
-            metric, verdict = f"{args.max_steps} steps", "BUDGET"
+        except StepBudgetError as e:
+            metric, verdict = f"{e.limit} steps", "BUDGET"
         _out(f"{n:>6}  {time.perf_counter() - t0:>7.2f}s  {metric:<22}  "
              f"{verdict}")
     return 0

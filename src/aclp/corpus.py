@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .engine import Solver
+from .engine import Solver, StepBudgetError  # the error is re-exported
 from .parser import parse_goal, parse_theory
-from .terms import AclpError
 from .theory import compile_naf
 
 
@@ -273,20 +272,13 @@ def add_unavailability(inst: JobshopInstance, seed: int) -> JobshopInstance:
 # First answers
 # ---------------------------------------------------------------------------
 
-class StepBudgetError(AclpError):
-    """A search that its step budget cut before any answer."""
-
-
 def first_ground(inst, config=None, rng=None):
     """Ground Δ of the first labelling of an instance's first answer, or
     None when it has no answer.  `rng` shuffles the labelling's value
     order.  The search runs in the calling thread; one that
     `Config.max_steps` cut before any answer raises StepBudgetError."""
     theory = compile_naf(parse_theory(inst.program), mode="validate")
-    solver = Solver(theory, config)
-    ans = next(solver.solve(parse_goal(inst.goal_text)), None)
-    if ans is None and solver.budget_hit:
-        raise StepBudgetError(f"no answer in {solver.config.max_steps} steps")
+    ans = next(Solver(theory, config).solve(parse_goal(inst.goal_text)), None)
     return ans and ans.ground_delta(next(ans.labellings(rng=rng)))
 
 

@@ -53,11 +53,13 @@ Each attribute of a `Solver` is of one of three kinds.  Fixed for the
 solver's life: the theory, the config, the id counters, and the clause
 and IC indexes.  Undone through the trail, and so back where it was when
 a solve ends: the substitution, the store, Δ, the denials, and the trail
-and the choice stack themselves.  Per solve,
-set when `solve` starts: `steps`, `budget_hit` and `depth_limit_hit`.
-Nothing else grows with the search: the variables that a refutation
-renames apart are minted local (`Var.local`), so locality is read off
-the variable itself.
+and the choice stack themselves.  Per solve, written when a solve ends:
+`steps`, the number of steps it ran.  How a stream ended is no
+attribute: one that emitted nothing raises `DepthLimitExceededError` if
+a derivation met `Config.max_depth`, else `StepBudgetError` if
+`Config.max_steps` cut it.  Nothing else grows with the search: the
+variables that a refutation renames apart are minted local
+(`Var.local`), so locality is read off the variable itself.
 """
 
 from __future__ import annotations
@@ -88,6 +90,14 @@ class InitialHypothesisInconsistentError(AclpError):
 class DepthLimitExceededError(AclpError):
     def __init__(self, limit):
         super().__init__(f"DEPTH_LIMIT_EXCEEDED: {limit} reduction steps")
+        self.limit = limit
+
+
+class StepBudgetError(AclpError):
+    """A search that its step budget cut before any answer."""
+
+    def __init__(self, limit):
+        super().__init__(f"no answer in {limit} steps")
         self.limit = limit
 
 
@@ -267,6 +277,7 @@ class _Index:
 
 _BUILTINS = {("true", 0), ("fail", 0)}
 _ANSWER = object()   # the continuation of a finished derivation
+_DEPTH = object()    # a failure at `Config.max_depth`
 
 
 class Solver:
@@ -291,8 +302,7 @@ class Solver:
                 if isinstance(lit, UserLit):
                     self._ic_literals.add(lit, (ic, pos))
         self.choices: list = []        # (mark, step) alternatives left to try
-        # the last solve's steps run and limits hit, set when `solve` starts
-        self.steps, self.budget_hit, self.depth_limit_hit = 0, False, False
+        self.steps = 0                 # steps the last solve ran
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -340,12 +350,13 @@ class Solver:
         `initial` hypotheses are installed through the same consistency
         check as fresh abductions before reduction starts.  The solver's
         state is restored when the stream ends, fails or is closed.  The
-        stream also ends, with `budget_hit` set, once the loop has run
-        `Config.max_steps` steps.
+        stream also ends once the loop has run `Config.max_steps` steps.
+        A stream that emits nothing raises DepthLimitExceededError when a
+        step met `Config.max_depth`, else StepBudgetError when the budget
+        cut it.
         """
         max_steps = self.config.max_steps
-        self.steps, self.budget_hit, self.depth_limit_hit = 0, False, False
-        emitted = 0
+        steps, emitted, depth_hit = 0, 0, False
         goal = rename_conjunction(goal, self.counter)
         base = self._mark()
         step = lambda: self._install(list(initial), 0, goal, _ANSWER)
@@ -362,16 +373,20 @@ class Solver:
                     if answer is not None:
                         emitted += 1
                         yield answer
-                elif self.steps == max_steps:
-                    self.budget_hit = True
+                elif step is _DEPTH:
+                    depth_hit, step = True, None
+                elif steps == max_steps:
+                    if not (emitted or depth_hit):
+                        raise StepBudgetError(max_steps)
                     break
                 else:
-                    self.steps += 1
+                    steps += 1
                     step = step()
         finally:
+            self.steps = steps
             self.choices.clear()
             self._restore(base)
-        if self.depth_limit_hit and emitted == 0:
+        if depth_hit and not emitted:
             raise DepthLimitExceededError(self.config.max_depth)
 
     def _install(self, initial, i, goal, k):
@@ -429,8 +444,7 @@ class Solver:
         if not goals:
             return k
         if depth >= self.config.max_depth:
-            self.depth_limit_hit = True
-            return None
+            return _DEPTH
         lit = goals[0]
         rest = goals[1:]
         proceed = lambda: self._prove(rest, depth + 1, k)
@@ -549,7 +563,7 @@ class Solver:
         A pairing that `_may_unify` rejects cannot match, so its residual
         would fail at once: it is skipped before any renaming.  A skipped
         pairing draws no fresh ids and never reaches `_fail_conj`, so it
-        never sets `depth_limit_hit`."""
+        never meets the depth limit."""
         residuals = []
         for ic, pos in self._ic_literals.lookup(hyp):
             renamed, _ = standardize_ic(ic, self.locals)
@@ -588,8 +602,7 @@ class Solver:
         if not goals:
             return None  # conjunction succeeded: failure cannot be established
         if depth >= self.config.max_depth:
-            self.depth_limit_hit = True
-            return None
+            return _DEPTH
         lit = goals[0]
         rest = goals[1:]
         fail_rest = lambda: self._fail_conj(rest, depth + 1, ic_body, k)

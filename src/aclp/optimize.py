@@ -4,12 +4,13 @@ selection against a reference hypothesis set."""
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Optional
 
 from .engine import (Answer, Config, InitialHypothesisInconsistentError,
-                     _Index, solve)
+                     StepBudgetError, _Index, solve)
 from .store import AtomDomain, Lt
 from .terms import (AclpError, Atom, Int, Struct, UserLit, Var, as_written,
                     is_ground)
@@ -233,10 +234,12 @@ def reschedule(theory, goal, reference: tuple, config=None,
     Old hypotheses that no longer pass their consistency check (for
     example a start time that now falls inside an unavailability window)
     are dropped up front.  A kept set can also be jointly infeasible even
-    though each member passes on its own; when the solve produces no
-    answer (or exhausts its step budget, `RESCHEDULE_MAX_STEPS` unless
-    `config.max_steps` is set), the most recently added hypothesis is
-    dropped and the solve retried, down to a fresh solve in the worst case.
+    though each member passes on its own.  Each re-solve has a step
+    budget, `RESCHEDULE_MAX_STEPS` unless `config.max_steps` is set.
+    When a re-solve produces no answer, or its budget cuts it before any
+    (StepBudgetError), the most recently added hypothesis is dropped and
+    the solve retried, down to a fresh solve in the worst case.  The
+    fresh solve's EmptyStreamError or StepBudgetError is raised.
     `min_changes` scores the first `RESCHEDULE_MAX_ANSWERS` answers of a
     re-solve and `RESCHEDULE_MAX_LABELLINGS` groundings of each.  Raises
     AclpError when a reference literal is not ground.
@@ -247,18 +250,16 @@ def reschedule(theory, goal, reference: tuple, config=None,
     kept = list(reference)
     while True:
         try:
-            stream = solve(theory, goal, initial=kept, config=config)
-            try:
+            # a stream left open keeps its search thread parked until the
+            # cyclic collector finds it
+            with closing(solve(theory, goal, initial=kept,
+                               config=config)) as stream:
                 return min_changes(stream, tuple(reference),
                                    RESCHEDULE_MAX_ANSWERS,
                                    RESCHEDULE_MAX_LABELLINGS, strategy)
-            finally:
-                # a stream left open keeps its search thread parked
-                # until the cyclic collector finds it
-                stream.close()
         except InitialHypothesisInconsistentError as e:
             kept = [h for h in kept if h != e.hyp]
-        except EmptyStreamError:
+        except (EmptyStreamError, StepBudgetError):
             if not kept:
                 raise
             kept.pop()

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from aclp.cli import main
-from aclp.corpus import generate_jobshop
+from aclp.corpus import generate_blocks, generate_jobshop
+from aclp.optimize import RESCHEDULE_MAX_STEPS
 
 SIMPLE = """\
 abducible_predicate(a/1).
@@ -58,6 +59,33 @@ def test_an_exhausted_step_budget_is_named_on_stderr(simple, capsys, mode):
                          "--max-steps", "1", *mode)
     assert code == 1 and out == ""
     assert err == "no answer within the step budget (--max-steps 1)\n"
+
+
+def test_a_min_changes_search_its_budget_cut_is_named_on_stderr(tmp_path,
+                                                                capsys):
+    prog = tmp_path / "js.aclp"
+    prog.write_text(JOBSHOP2)
+    ref = tmp_path / "old.facts"
+    ref.write_text("start(t1, 0).\nstart(t2, 3).\n")
+    code, out, err = run(capsys, "solve", str(prog), "--goal", "schedule",
+                         "--min-changes", str(ref), "--max-steps", "1")
+    assert (code, out) == (1, "")
+    assert err == "no answer within the step budget (--max-steps 1)\n"
+
+
+def test_min_changes_names_its_default_budget(tmp_path, capsys):
+    # blocks 7, seed 10 finds no plan in RESCHEDULE_MAX_STEPS steps, the
+    # budget of each re-solve when --max-steps is not given
+    inst = generate_blocks(7, 10)
+    prog = tmp_path / "blocks.aclp"
+    prog.write_text(inst.program)
+    ref = tmp_path / "empty.facts"
+    ref.write_text("")
+    code, out, err = run(capsys, "solve", str(prog), "--goal", inst.goal_text,
+                         "--min-changes", str(ref))
+    assert (code, out) == (1, "")
+    assert err == ("no answer within the step budget "
+                   f"(--max-steps {RESCHEDULE_MAX_STEPS})\n")
 
 
 def test_a_search_that_completes_with_no_answer_names_no_budget(simple,
@@ -286,6 +314,21 @@ def test_an_atom_takes_no_offset_inside_a_disjunction(tmp_path, capsys):
     assert code == 1 and out == ""
     code, out, _ = run(capsys, "solve", str(p), "--goal", "h")
     assert code == 0 and out == "Δ = {p(Z)}\nZ ∈ {0..5}\n"
+
+
+@pytest.mark.parametrize("body, printed", [
+    # `#=` with an atom gives an undeclared X the atom's domain
+    ("X #= a, p(X)", "X ∈ {a}"),
+    # `a ##= b`, a term equality of two atoms, is false, so the
+    # disjunction leaves X #= 1
+    ("X :: 0..1, a ##= b #\\/ X #= 1, p(X)", "X ∈ {1}"),
+])
+def test_a_constraint_decided_on_an_atom_prints_its_domain(tmp_path, capsys,
+                                                           body, printed):
+    p = tmp_path / "atom.aclp"
+    p.write_text(f"abducible_predicate(p/1).\ng :- {body}.\n")
+    code, out, _ = run(capsys, "solve", str(p), "--goal", "g")
+    assert (code, out) == (0, f"Δ = {{p(X)}}\n{printed}\n")
 
 
 @pytest.mark.parametrize("label", [[], ["--label"]])

@@ -8,10 +8,10 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aclp import (AclpError, Config, EmptyStreamError, UnknownVariableError,
-                  change_count, compile_naf, find_cost_var, min_changes,
-                  minimize, optimize, parse_goal, parse_theory, reschedule,
-                  solve)
+from aclp import (AclpError, Config, EmptyStreamError, StepBudgetError,
+                  UnknownVariableError, change_count, compile_naf,
+                  find_cost_var, min_changes, minimize, optimize, parse_goal,
+                  parse_theory, reschedule, solve)
 from aclp.corpus import reschedule_case
 from aclp.engine import Answer
 from aclp.optimize import _Reference, label_preferences
@@ -369,6 +369,41 @@ def test_reschedule_leaves_no_search_thread_running(monkeypatch):
     finally:
         gc.enable()
     assert best.changes == 2
+
+
+def test_reschedule_drops_the_newest_hypothesis_when_a_re_solve_is_cut(
+        monkeypatch):
+    # job shop 10, seed 4: four kept sets are cut by RESCHEDULE_MAX_STEPS
+    # before the fifth answers
+    cuts, stream = [], optimize.solve
+
+    def counting(*args, **kwargs):
+        try:
+            yield from stream(*args, **kwargs)
+        except StepBudgetError as e:
+            cuts.append(e.limit)
+            raise
+
+    monkeypatch.setattr(optimize, "solve", counting)
+    _, changed, old = reschedule_case(10, 4)
+    best = reschedule(parse_theory(changed.program),
+                      parse_goal(changed.goal_text), old)
+    assert cuts == [optimize.RESCHEDULE_MAX_STEPS] * 4
+    assert best.changes == 8
+
+
+def test_reschedule_raises_the_cut_of_its_fresh_solve():
+    # one step finds no answer: every kept set is cut, and so is the
+    # fresh solve left when all are dropped
+    text = """
+        abducible_predicate(s/2).
+        g :- s(1, T1), T1 :: 0..9, s(2, T2), T2 :: 0..9.
+    """
+    reference = lits(("s", (1, 2)), ("s", (2, 3)))
+    with pytest.raises(StepBudgetError) as cut:
+        reschedule(parse_theory(text), parse_goal("g"), reference,
+                   config=Config(max_steps=1))
+    assert cut.value.limit == 1
 
 
 def test_reschedule_with_feasible_reference_changes_nothing():
