@@ -11,8 +11,8 @@ from .parser import (ParseError, ParseFailure, format_theory, parse_goal,
                      parse_theory)
 from .store import ConstraintStore, negate
 from .terms import (AclpError, Atom, Clause, ConstraintLit, Int,
-                    IntegrityConstraint, NafLit, Struct, Substitution,
-                    UserLit, Var, VarCounter, standardize_apart, unify)
+                    IntegrityConstraint, NafLit, Struct, UserLit, Var,
+                    VarCounter, standardize_apart)
 from .theory import AbductiveTheory, TheoryError, compile_naf
 
 __all__ = [
@@ -21,11 +21,10 @@ __all__ = [
     "EmptyStreamError", "GroundAnswer", "Hypothesis",
     "InitialHypothesisInconsistentError", "Int", "IntegrityConstraint",
     "NafLit", "ParseError", "ParseFailure", "Solver", "StepBudgetError",
-    "Struct", "Substitution", "TheoryError", "UnknownVariableError",
+    "Struct", "TheoryError", "UnknownVariableError",
     "UserLit", "Var", "VarCounter", "change_count", "compile_naf",
     "find_cost_var", "format_theory", "min_changes", "minimize", "negate",
     "parse_goal", "parse_theory", "reschedule", "solve", "standardize_apart",
-    "unify",
 ]
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """The abductive proof procedure.
 
-Two interleaved derivations share one substitution, one hypothesis list,
-one list of denials and one constraint store:
+Two interleaved derivations share one constraint store, which holds the
+bindings too, one hypothesis list and one list of denials:
 
 * goal reduction (`_prove`): leftmost literal, depth-first, clause source
   order; constraints are posted to the store, abducibles are satisfied by
@@ -32,8 +32,8 @@ candidate by `_may_unify` before returning it.  A variable first
 argument matches every key, since it unifies with anything.  A lookup
 keeps insertion order, so indexing changes no answer and no answer
 order.  Clause heads and IC body literals are filed as written; Δ and
-the denials are filed through the substitution, and each entry is undone
-on backtracking.
+the denials are filed through the bindings, and each entry is undone on
+backtracking.
 
 Both derivations are driven by one loop in
 `Solver.solve` over an explicit stack of choice points (the state-based
@@ -42,17 +42,17 @@ does a bounded amount of work and returns the step that continues the
 derivation, or None when it fails.  The continuation `k` handed to a step
 is what to do once its goal has been proved, or its conjunction failed.
 Every alternative left for later is a choice point: a `_mark()` of the
-shared state plus the step that tries it.  The substitution, the store, Δ
-and the denials push the undo of every change onto one trail, so a mark
-is the trail's length.  On failure the loop pops the newest choice point,
-rewinds the trail to its mark and runs its step.  The Python
-stack stays flat however deep a derivation goes; `Config.max_depth` and
-memory bound its depth.
+shared state plus the step that tries it.  The store (its bindings,
+domains and constraints), Δ and the denials push the undo of every change
+onto the store's trail, so a mark is the trail's length.  On failure the
+loop pops the newest choice point, rewinds the trail to its mark and runs
+its step.  The Python stack stays flat however deep a derivation goes;
+`Config.max_depth` and memory bound its depth.
 
 Each attribute of a `Solver` is of one of three kinds.  Fixed for the
 solver's life: the theory, the config, the id counters, and the clause
 and IC indexes.  Undone through the trail, and so back where it was when
-a solve ends: the substitution, the store, Δ, the denials, and the trail
+a solve ends: the store with its bindings, Δ, the denials, and the trail
 and the choice stack themselves.  Per solve, written when a solve ends:
 `steps`, the number of steps it ran.  How a stream ended is no
 attribute: one that emitted nothing raises `DepthLimitExceededError` if
@@ -73,11 +73,10 @@ from .store import (DEFAULT_HI, DEFAULT_LO, And, AtomDomain, ConstraintStore,
                     Eq, IntDomain, TermEq, constraint_vars, map_constraint,
                     negate)
 from .terms import (AclpError, Atom, ConstraintLit, DomainDecl, Int, NafLit,
-                    Struct, Substitution, UserLit, Var, VarCounter,
-                    UnknownPredicateError, _renamer, as_written,
-                    is_ground, map_literal, rename_conjunction, rewind,
-                    standardize_apart, standardize_ic, term_vars,
-                    unify_terms)
+                    Struct, UserLit, Var, VarCounter, UnknownPredicateError,
+                    _renamer, as_written, is_ground, map_literal,
+                    rename_conjunction, rewind, standardize_apart,
+                    standardize_ic, term_vars, unify_terms)
 from .theory import AbductiveTheory
 
 
@@ -183,8 +182,8 @@ def _may_unify(pattern, args, walk, template=False) -> bool:
     only when two rigid subterms differ in functor, arity or constant
     (the WAM's pre-unification test, on every argument).  A variable
     matches anything, a domain variable included, whose equality the
-    store may still refuse.  `args` is walked through the substitution,
-    and so is `pattern` unless it is a `template`: a clause head or an IC
+    store may still refuse.  `args` is walked through the bindings, and
+    so is `pattern` unless it is a `template`: a clause head or an IC
     body literal not yet renamed, whose parser ids may collide with ids
     bound here."""
     lists = []   # nested argument lists left to compare
@@ -224,7 +223,7 @@ class _Index:
     An index without a `trail` is a template: it files literals as
     written, clause heads and IC body literals, whose parser ids may
     collide with ids bound here.  An index with one files them walked
-    through the substitution and pushes the undo of each entry on the
+    through the bindings and pushes the undo of each entry on the
     trail, so Δ and the denials follow backtracking."""
 
     _ALL = object()   # the bucket that every entry of an indicator joins
@@ -286,13 +285,12 @@ class Solver:
         self.config = config or Config()
         self.counter = VarCounter(start=1_000_000)
         self.locals = self.counter.locals()   # mints refutation locals
-        self.trail = []                # (undo, a, b) entries, oldest first
-        self.subst = Substitution(self.trail)
-        self.store = ConstraintStore(self.trail)
-        walk = self.subst.walk
-        self.delta = _Index(walk, self.trail)      # Hypothesis values
+        self.store = ConstraintStore()
+        # the indexes push onto the store's trail
+        walk, trail = self.store.walk, self.store.trail
+        self.delta = _Index(walk, trail)      # Hypothesis values
         # (abducible lit, *residual conjunction) values
-        self.denials = _Index(walk, self.trail)
+        self.denials = _Index(walk, trail)
         self._clauses = _Index(walk)
         for clause in theory.all_clauses():
             self._clauses.add(clause.head, clause)
@@ -307,10 +305,10 @@ class Solver:
     # -- bookkeeping ---------------------------------------------------------
 
     def _mark(self) -> int:
-        return len(self.trail)
+        return len(self.store.trail)
 
     def _restore(self, mark: int) -> None:
-        rewind(self.trail, mark)
+        rewind(self.store.trail, mark)
 
     def _choice(self, step, mark=None):
         """Leave `step` to be tried on backtracking, from `mark` (default:
@@ -318,7 +316,7 @@ class Solver:
         self.choices.append((self._mark() if mark is None else mark, step))
 
     def _fresh_locals(self, items):
-        """Copies of the literals `items` under the substitution, with
+        """Copies of the literals `items` under the bindings, with
         unbound local variables renamed apart; a local with a domain is
         kept, since a renaming would drop its domain.  The constraints
         that wait in the store on a renamed local, which has no domain
@@ -335,7 +333,7 @@ class Solver:
         rest is made.
         """
         has_domain = self.store.has_domain
-        rename, renamed = _renamer(self.locals, self.subst.walk,
+        rename, renamed = _renamer(self.locals, self.store.walk,
                                    lambda v: not v.local or has_domain(v))
         out = [map_literal(i, rename) for i in items]
         constraints = self.store.constraints
@@ -414,10 +412,10 @@ class Solver:
         return self._consistency(lit, 0, installed)
 
     def _make_answer(self):
-        delta = tuple(self.subst.resolve_literal(h.lit) for h in self.delta)
+        delta = tuple(self.store.resolve_literal(h.lit) for h in self.delta)
         prov = tuple(h.provenance for h in self.delta)
-        # the store holds no bound variable (`ConstraintStore.bound`), so
-        # its copy reads no binding
+        # no active constraint names a bound variable
+        # (`ConstraintStore.bind`), so the copy leaves the bindings behind
         st = self.store.clone()
         # project onto variables the answer can mention: those in the
         # hypotheses and those constrained by a residual constraint
@@ -481,33 +479,33 @@ class Solver:
         if i + 1 < len(clauses):
             self._choice(lambda: self._try_clause(clauses, i + 1, lit, rest,
                                                   depth, k))
-        renamed, _ = standardize_apart(clauses[i], self.counter)
+        renamed = standardize_apart(clauses[i], self.counter)
         if not self._unify_args(renamed.head.args, lit.args):
             return None
         return lambda: self._prove(list(renamed.body) + rest, depth + 1, k)
 
     def _unify_args(self, args1, args2) -> bool:
-        return all(unify_terms(a, b, self.subst, self.store)
+        return all(unify_terms(a, b, self.store)
                    for a, b in zip(args1, args2))
 
     def _post(self, c) -> bool:
-        c = map_constraint(c, self.subst.walk)
+        c = map_constraint(c, self.store.walk)
         if isinstance(c, TermEq):
             # term equality is unification, not scalar decomposition
-            return unify_terms(c.a, c.b, self.subst, self.store)
+            return unify_terms(c.a, c.b, self.store)
         return self.store.post(c)
 
     def _declare(self, decl: DomainDecl) -> bool:
-        var = self.subst.resolve(decl.var)
+        resolve = self.store.resolve
+        var = resolve(decl.var)
         if decl.atoms is not None:
             dom = AtomDomain.of([a.name for a in decl.atoms])
             if isinstance(var, Atom):
                 return dom.contains(var.name)
         else:
-            lo = _value(self.subst.resolve(decl.lo))
-            hi = _value(self.subst.resolve(decl.hi))
+            lo, hi = _value(resolve(decl.lo)), _value(resolve(decl.hi))
             if lo is None or hi is None:
-                bound = self.subst.resolve(decl.lo if lo is None else decl.hi)
+                bound = resolve(decl.lo if lo is None else decl.hi)
                 if is_ground(bound):
                     raise AclpError(f"domain bound {as_written(bound)} is not "
                                     f"an integer in {as_written(decl)}")
@@ -525,7 +523,7 @@ class Solver:
         # a hypothesis that the Δ lookup rejects could only fail to unify,
         # so it gets no choice point; an exact duplicate always passes
         reusable = self.delta.lookup(lit)
-        resolve = self.subst.resolve_literal
+        resolve = self.store.resolve_literal
 
         # reuse existing hypotheses first, in insertion order
         def reuse(j):
@@ -566,7 +564,7 @@ class Solver:
         never meets the depth limit."""
         residuals = []
         for ic, pos in self._ic_literals.lookup(hyp):
-            renamed, _ = standardize_ic(ic, self.locals)
+            renamed = standardize_ic(ic, self.locals)
             residual = [_Match(renamed.body[pos].args, hyp.args)]
             residual.extend(l for j, l in enumerate(renamed.body) if j != pos)
             residuals.append(residual)
@@ -641,7 +639,7 @@ class Solver:
             # `_fail_conj`, as in `_consistency`
             resolutions = []
             for clause in self._clauses.lookup(lit):
-                renamed, _ = standardize_apart(clause, self.locals)
+                renamed = standardize_apart(clause, self.locals)
                 fresh = self._fresh_locals([lit] + list(rest))
                 resolutions.append([_Match(renamed.head.args, fresh[0].args)]
                                    + list(renamed.body) + fresh[1:])
@@ -653,10 +651,10 @@ class Solver:
     def _fail_match(self, item: _Match, fail_rest, k):
         mark = self._mark()
         caps = []
-        if all(unify_terms(a, b, self.subst, self.store, caps)
+        if all(unify_terms(a, b, self.store, caps)
                for a, b in zip(item.a, item.b)):
             gcaps = None
-            if caps and all(v.local for v in self.subst.bound_since(mark)):
+            if caps and all(v.local for v in self.store.bound_since(mark)):
                 # every variable the match bound is local
                 gcaps = self._project_caps(caps)
             if all(self.store.post(c) for c in caps):
@@ -677,38 +675,44 @@ class Solver:
     def _project_caps(self, caps):
         """Project captured equalities onto the global variables.
 
-        A cap on a free, once-occurring local domain variable holds for
-        every value of its global side, so it drops out of the negation:
-        the match is impossible exactly when some all-global cap is
-        violated.  Returns the global caps, or None when the projection
-        is not exact (a local cap that actually constrains the globals).
+        The caps of a free local domain variable x, each with a global or
+        constant partner, hold for some value of x exactly when the
+        partners are equal and x's domain holds their value.  When x's
+        domain covers the first partner's, they project to the equalities
+        between the partners; a cap between two locals that occur nowhere
+        else drops out when their domains meet.  So the match is
+        impossible exactly when some projected cap is violated.  Returns
+        the projected caps, or None when the projection is not exact.
         """
         occurrences = Counter(v.id for c in caps for v in constraint_vars(c)
                               if v.local)
+        first = {}          # local id -> its first global or constant partner
         gcaps = []
         for c in caps:
-            locs = [v for v in constraint_vars(c) if v.local]
-            if not locs:
-                gcaps.append(c)
-                continue
-            if not isinstance(c, Eq) or any(occurrences[v.id] > 1 for v in locs):
-                return None
             # a cap relates domain variables and constants; read each side
             # through the store, a constant as its singleton domain
             (x, _, dx), (y, _, dy) = map(self.store._operand, (c.a, c.b))
+            partner = c.b
             if x is None or not x.local:
-                (x, dx), (y, dy) = (y, dy), (x, dx)
-            if dx is None or type(dx) is not type(dy):
+                (x, dx), (y, dy), partner = (y, dy), (x, dx), c.a
+            if x is None or not x.local:
+                gcaps.append(c)
+            elif type(dx) is not type(dy):
                 return None
-            if y is not None and y.local:
-                if dx.intersect(dy).empty:
+            elif y is not None and y.local:
+                if occurrences[x.id] > 1 or occurrences[y.id] > 1 \
+                        or dx.intersect(dy).empty:
                     return None
+            elif x.id in first:
+                gcaps.append(Eq(first[x.id], partner))
             elif dx.intersect(dy).size != dy.size:
                 return None  # x's domain does not cover every value of y
+            else:
+                first[x.id] = partner
         return gcaps or None
 
     def _fail_constraint(self, c, fail_rest, k):
-        c = map_constraint(c, self.subst.walk)
+        c = map_constraint(c, self.store.walk)
         if isinstance(c, TermEq):
             # failing a term equality is failing a unification problem
             return self._fail_match(_Match((c.a,), (c.b,)), fail_rest, k)
@@ -737,7 +741,7 @@ class Solver:
         remainder of the conjunction (not_p may hold), which is then no
         longer taken for an IC body."""
         fail_rest = lambda: self._fail_conj(rest, depth + 1, False, k)
-        args = tuple(self.subst.resolve(a) for a in lit.args)
+        args = tuple(self.store.resolve(a) for a in lit.args)
         if any(v.local for a in args for v in term_vars(a)):
             return fail_rest
         self._choice(fail_rest)
@@ -766,10 +770,10 @@ class Solver:
         for h in self.delta.lookup(lit):
             fresh = self._fresh_locals(items)
             conjs.append([_Match(fresh[0].args,
-                                 self.subst.resolve_literal(h.lit).args)]
+                                 self.store.resolve_literal(h.lit).args)]
                          + fresh[1:])
         if not ic_body:
-            d_lit = self.subst.resolve_literal(lit)
+            d_lit = self.store.resolve_literal(lit)
             self.denials.add(d_lit, (d_lit,) + tuple(rest))
         return self._refute_all(conjs, 0, depth + 1, ic_body, k)
 

@@ -2,9 +2,9 @@
 
 Domains are finite sets of integers (kept as sorted ranges) or of atoms.
 Constraints are immutable values; the store holds the mutable state:
-variable domains and the set of active constraints.  Each change to them
-pushes its undo on a trail, the store's own or one that a solver shares
-with its substitution, so a restore to any snapshot is exact.
+variable bindings, variable domains and the set of active constraints.
+Each change to them pushes its undo on the store's trail, which a solver
+shares with its indexes, so a restore to any snapshot is exact.
 Propagation runs to fixpoint after every post:
 bounds consistency for the order constraints, arc consistency for equality
 and disequality.  A disjunction is pruned once nothing else is woken: a
@@ -17,14 +17,15 @@ Propagation is driven by an agenda of woken constraint indices.  Every
 constraint but a disjunction sits on the watch list of each variable it
 names: a domain write wakes the watchers of its variable, and adding a
 constraint wakes it.  A constraint, a disjunction too, also sits on the
-bind watch of each variable it names that has no domain when it enters:
-binding such a variable, which unification does only to a variable
-without a domain, re-enters the constraint resolved (`bound`), so the
-store never holds a bound variable and reads no bindings.  One loop
-prunes the woken constraints, lowest index
-first, until none is left; then it prunes each active disjunction once,
-in index order, and starts over as soon as one wakes a constraint or
-posts its surviving side.  A disjunction's probe reads the whole store,
+bind watch of each variable it names that has no domain when it enters.
+The store alone decides how two terms are equated (`equate`): a variable
+without a domain is bound, and two domain variables, or one and a
+constant, are posted `#=`.  Binding a variable re-enters the constraints
+on its bind watch resolved (`bind`), so no active constraint names a
+bound variable and propagation reads no bindings.  One loop prunes the
+woken constraints, lowest index first, until none is left; then it
+prunes each active disjunction once, in index order, and starts over as
+soon as one wakes a constraint or posts its surviving side.  A disjunction's probe reads the whole store,
 so probes run only once the cheap pruners are at their fixpoint.  A
 propagation called while the loop runs (a pruner posting or declaring)
 only adds and wakes its constraints, and leaves the pruning to the loop; a
@@ -49,7 +50,7 @@ from itertools import chain
 from typing import Iterator, Optional, Sequence, Union
 
 from .terms import (AclpError, Atom, Int, Struct, Term, Var, as_written,
-                    is_ground, map_term, rewind, term_vars)
+                    is_ground, map_literal, map_term, rewind, term_vars)
 
 
 class StoreTypeError(AclpError):
@@ -478,13 +479,17 @@ DEFAULT_HI = 10_000_000       # variable, implementation-wide
 
 
 class ConstraintStore:
-    def __init__(self, trail: list = None):
+    def __init__(self):
+        self.bindings: dict[int, Term] = {}
+        # a binding's undo: bindings.pop(id, var), whose default is never
+        # read but names the variable bound (`bound_since`)
+        self._unbind = self.bindings.pop
         self.domains: dict[int, Domain] = {}
         self.var_names: dict[int, str] = {}
         self.constraints: list[Constraint] = []
         self.states: list[int] = []
         self.consistent = True
-        self.trail = [] if trail is None else trail   # (undo, a, b) entries
+        self.trail = []               # (undo, a, b) entries, oldest first
         self._probing = 0             # nesting depth of satisfiability probes
         # watch lists, variable id -> indices of the constraints naming it,
         # in increasing order: `watch` for domain writes, which leaves the
@@ -558,6 +563,74 @@ class ConstraintStore:
             self._queued.clear()
         return False
 
+    # -- bindings ------------------------------------------------------------
+
+    def walk(self, t: Term) -> Term:
+        """Follow bindings until an unbound variable or a non-variable."""
+        while isinstance(t, Var):
+            nxt = self.bindings.get(t.id)
+            if nxt is None:
+                return t
+            t = nxt
+        return t
+
+    def resolve(self, t: Term) -> Term:
+        """`t` with every bound variable in it replaced by its value."""
+        return map_term(t, self.walk)
+
+    def resolve_literal(self, lit):
+        return map_literal(lit, self.walk)
+
+    def occurs(self, v: Var, t: Term) -> bool:
+        stack = [t]
+        while stack:
+            t = self.walk(stack.pop())
+            if isinstance(t, Var):
+                if t.id == v.id:
+                    return True
+            elif isinstance(t, Struct):
+                stack.extend(t.args)
+        return False
+
+    def bound_since(self, mark: int) -> list:
+        """The variables bound since the trail's length was `mark`, oldest
+        first."""
+        return [v for undo, _, v in self.trail[mark:] if undo is self._unbind]
+
+    def equate(self, x: Term, y: Term, caps: list = None) -> bool:
+        """Make `x` and `y`, walked terms of which one is a variable, equal:
+        bind a variable without a domain, `x` first, to the other term, or
+        else post `x #= y` between a domain variable and another one or a
+        constant, collected in `caps` instead when given.  False when a
+        domain variable meets a compound, on an occurs-check violation, or
+        when the store fails."""
+        if isinstance(x, Var) and isinstance(y, Var) and x.id == y.id:
+            return True
+        for v, t in ((x, y), (y, x)):
+            if isinstance(v, Var) and v.id not in self.domains:
+                return not (isinstance(t, Struct) and self.occurs(v, t)) \
+                    and self.bind(v, t)
+        if isinstance(x, Struct) or isinstance(y, Struct):
+            return False  # domain values are scalars
+        if caps is not None:
+            caps.append(Eq(x, y))
+            return True
+        return self.post(Eq(x, y))
+
+    def bind(self, v: Var, t: Term) -> bool:
+        """Bind `v`, a variable without a domain, to `t`: each active
+        constraint waiting on `v` is marked entailed and posted again,
+        resolved through the bindings.  False when that fails."""
+        self.bindings[v.id] = t
+        self.trail.append((self._unbind, v.id, v))
+        if v.id not in self.bind_watch:
+            return True
+        woken = self.waiting((v.id,))
+        for idx in woken:
+            self._set_state(idx, ENTAILED)
+        return all(self.post(map_constraint(self.constraints[idx], self.walk))
+                   for idx in woken)
+
     # -- declarations --------------------------------------------------------
 
     def has_domain(self, v: Var) -> bool:
@@ -615,16 +688,6 @@ class ConstraintStore:
             for vid in vids:
                 watch.setdefault(vid, []).append(idx)
         self.trail.append((self._unenter, woken_by, untyped))
-
-    def bound(self, v: Var, walk) -> bool:
-        """Take in the binding of `v`, a variable without a domain: each
-        active constraint naming it is marked entailed and posted again,
-        resolved through `walk`.  False when that fails."""
-        woken = self.waiting((v.id,))
-        for idx in woken:
-            self._set_state(idx, ENTAILED)
-        return all(self.post(map_constraint(self.constraints[idx], walk))
-                   for idx in woken)
 
     def waiting(self, vids) -> list:
         """The indices of the active constraints on the bind watch of the
@@ -965,7 +1028,9 @@ class ConstraintStore:
     # -- misc ----------------------------------------------------------------
 
     def clone(self) -> "ConstraintStore":
-        """A copy with a trail of its own, an empty one."""
+        """A copy of the domains and constraints, with a trail of its own,
+        an empty one, and no bindings: no active constraint names a bound
+        variable, so a copy that only propagates and labels needs none."""
         out = ConstraintStore()
         out.domains = dict(self.domains)
         out.var_names = dict(self.var_names)

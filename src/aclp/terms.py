@@ -1,13 +1,12 @@
-"""Terms, literals, clauses, substitution-based unification, renaming
-apart, and printing in source syntax.
+"""Terms, literals, clauses, unification, renaming apart, and printing in
+source syntax.
 
-Terms are immutable; all mutation during a derivation goes through a
-Substitution (a binding map that pushes each binding on a trail) so that
-backtracking can undo it.  Variables attached to a finite domain are never
-bound directly: equating them is delegated to the constraint store so
-propagation sees it.  Binding a variable that a store constraint names
-re-enters that constraint resolved, so the store never holds a bound
-variable.
+Terms are immutable.  The bindings of a derivation live in its constraint
+store, which pushes each binding on its trail so that backtracking can
+undo it.  Unification (`unify_terms`) only walks terms through those
+bindings and decomposes structures: the store decides how a variable is
+equated (`ConstraintStore.equate`), so that a variable with a finite
+domain is never bound and propagation sees every equation.
 
 The `format_*` printers give a term, constraint, literal or clause in
 source syntax, and every error message prints through them, by
@@ -339,7 +338,7 @@ def as_written(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# The trail and unification
 # ---------------------------------------------------------------------------
 
 def rewind(trail: list, mark: int) -> None:
@@ -347,131 +346,37 @@ def rewind(trail: list, mark: int) -> None:
     newest first.
 
     Each entry is (undo, a, b), undone by the call undo(a, b).  A solver's
-    substitution, store and indexes push onto one trail, so one mark and
-    one loop undo them all; a standalone substitution or store keeps a
-    trail of its own."""
+    store and indexes push onto one trail, so one mark and one loop undo
+    them all."""
     while len(trail) > mark:
         undo, a, b = trail.pop()
         undo(a, b)
 
 
-class Substitution:
-    """Binding map from variable id to term, undone through a trail.
+def unify_terms(t1: Term, t2: Term, store, caps: list = None) -> bool:
+    """Unify two terms in place, under the bindings of `store`.
 
-    `bind` pushes each binding on `trail`, its own unless one is given, so
-    `rewind` can roll back to any earlier length of it, which is how choice
-    points are implemented.
+    Walks both terms and decomposes structures; each pair with a variable
+    is handed to `store.equate`, which binds it or posts an equality,
+    collected in `caps` instead when given.  Returns False on a
+    structural mismatch, an occurs-check violation or when the store
+    fails.  The caller is responsible for rewinding the trail on failure.
     """
-
-    def __init__(self, trail: list = None):
-        self.bindings: dict[int, Term] = {}
-        self.trail = [] if trail is None else trail
-        # a binding's undo: bindings.pop(id, var), whose default is never
-        # read but names the variable bound (`bound_since`)
-        self._unbind = self.bindings.pop
-
-    def bind(self, v: Var, t: Term) -> None:
-        assert v.id not in self.bindings
-        self.bindings[v.id] = t
-        self.trail.append((self._unbind, v.id, v))
-
-    def bound_since(self, mark: int) -> list:
-        """The variables bound since the trail's length was `mark`, oldest
-        first."""
-        return [v for undo, _, v in self.trail[mark:] if undo is self._unbind]
-
-    def walk(self, t: Term) -> Term:
-        """Follow variable bindings one level (until unbound var or non-var)."""
-        while isinstance(t, Var):
-            nxt = self.bindings.get(t.id)
-            if nxt is None:
-                return t
-            t = nxt
-        return t
-
-    def resolve(self, t: Term) -> Term:
-        """Fully apply the substitution to a term."""
-        return map_term(t, self.walk)
-
-    def resolve_literal(self, lit: Literal) -> Literal:
-        return map_literal(lit, self.walk)
-
-    def occurs(self, v: Var, t: Term) -> bool:
-        stack = [t]
-        while stack:
-            t = self.walk(stack.pop())
-            if isinstance(t, Var):
-                if t.id == v.id:
-                    return True
-            elif isinstance(t, Struct):
-                stack.extend(t.args)
-        return False
-
-
-# ---------------------------------------------------------------------------
-# Unification
-# ---------------------------------------------------------------------------
-
-def unify_terms(t1: Term, t2: Term, subst: Substitution, store,
-                caps: list = None) -> bool:
-    """Unify in place; emits equality constraints for domain variables.
-
-    Returns False on structural mismatch, occurs-check violation or when a
-    delegated equality, or a store constraint that a binding resolves,
-    makes the store unsatisfiable.  Caller is responsible for rewinding
-    the trail on failure.  Given `caps`, those equalities are collected
-    there instead of posted; the resolved constraints are still posted.
-    Only a variable without a domain is bound, and every binding goes
-    through `subst.bind`.
-    """
+    walk = store.walk
     pairs = [(t1, t2)]
     while pairs:
         t1, t2 = pairs.pop()
-        t1 = subst.walk(t1)
-        t2 = subst.walk(t2)
-        if isinstance(t1, Var) and isinstance(t2, Var) and t1.id == t2.id:
-            continue
-        d1 = isinstance(t1, Var) and store.has_domain(t1)
-        d2 = isinstance(t2, Var) and store.has_domain(t2)
-        if d1 and (d2 or not isinstance(t2, Var)) \
-                or d2 and not isinstance(t1, Var):
-            # a domain variable is equated through the store, with another
-            # one or with a constant
-            if isinstance(t2 if d1 else t1, Struct):
-                return False  # domain values are scalars
-            if caps is not None:
-                caps.append(_store.Eq(t1, t2))
-            elif not store.post(_store.Eq(t1, t2)):
-                return False
-        elif isinstance(t1, Var) or isinstance(t2, Var):
-            # bind a variable, the plain one beside a domain variable
-            v, t = (t2, t1) if d1 or not isinstance(t1, Var) else (t1, t2)
-            if isinstance(t, Struct) and subst.occurs(v, t):
-                return False
-            subst.bind(v, t)
-            if v.id in store.bind_watch and not store.bound(v, subst.walk):
+        t1, t2 = walk(t1), walk(t2)
+        if isinstance(t1, Var) or isinstance(t2, Var):
+            if not store.equate(t1, t2, caps):
                 return False
         elif isinstance(t1, Struct) and isinstance(t2, Struct):
-            if t1.functor != t2.functor or t1.arity != t2.arity:
+            if t1.functor != t2.functor or len(t1.args) != len(t2.args):
                 return False
             pairs.extend(zip(reversed(t1.args), reversed(t2.args)))
-        elif isinstance(t1, Int) and isinstance(t2, Int):
-            if t1.value != t2.value:
-                return False
-        elif not (isinstance(t1, Atom) and isinstance(t2, Atom)
-                  and t1.name == t2.name):
+        elif t1 != t2:
             return False
     return True
-
-
-def unify(t1: Term, t2: Term, store) -> Optional[tuple]:
-    """Functional facade: returns (Substitution, store) or None on failure."""
-    subst = Substitution(store.trail)
-    smark = store.snapshot()
-    if unify_terms(t1, t2, subst, store):
-        return subst, store
-    store.restore(smark)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -496,18 +401,17 @@ def _renamer(counter: VarCounter, walk=None, keeps=None):
     return rename, mapping
 
 
-def standardize_apart(clause: Clause, counter: VarCounter) -> tuple:
-    """Fresh copy of a clause; returns (clause, renamed-variable list)."""
-    rename, mapping = _renamer(counter)
-    head = map_literal(clause.head, rename)
-    body = tuple(map_literal(b, rename) for b in clause.body)
-    return Clause(head, body), list(mapping.values())
+def standardize_apart(clause: Clause, counter: VarCounter) -> Clause:
+    """Fresh copy of a clause."""
+    rename, _ = _renamer(counter)
+    return Clause(map_literal(clause.head, rename),
+                  tuple(map_literal(b, rename) for b in clause.body))
 
 
-def standardize_ic(ic: IntegrityConstraint, counter: VarCounter) -> tuple:
-    rename, mapping = _renamer(counter)
-    body = tuple(map_literal(b, rename) for b in ic.body)
-    return IntegrityConstraint(body), list(mapping.values())
+def standardize_ic(ic: IntegrityConstraint,
+                   counter: VarCounter) -> IntegrityConstraint:
+    rename, _ = _renamer(counter)
+    return IntegrityConstraint(tuple(map_literal(b, rename) for b in ic.body))
 
 
 def rename_conjunction(lits, counter: VarCounter) -> list:

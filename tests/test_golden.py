@@ -77,21 +77,28 @@ def reschedule_record(n, seed):
             "labelling": _labelling(best.valuation), "error": None}
 
 
-def programs():
-    """(name, thunk giving (theory, goal)) for every recorded stream, in a
-    fixed order."""
+def random_programs(theories, nafs):
+    """(name, thunk giving (theory, goal)) for the first `theories` random
+    theories and the first `nafs` random NAF programs that have a goal."""
     out = []
-    for seed in range(200):
+    for seed in range(theories):
         text, goal = random_theory_text(random.Random(seed))
         out.append((f"theory-{seed}", lambda text=text, goal=goal:
                     (parse_theory(text), parse_goal(goal))))
-    for seed in range(50):
+    for seed in range(nafs):
         text, goal = random_naf_program_text(random.Random(seed))
         if goal is None:
             continue
         out.append((f"naf-{seed}", lambda text=text, goal=goal: (
             compile_naf(parse_theory(text), mode="autogenerate"),
             parse_goal(goal))))
+    return out
+
+
+def programs():
+    """(name, thunk giving (theory, goal)) for every recorded stream, in a
+    fixed order."""
+    out = random_programs(200, 50)
     for n in (3, 4, 5):
         inst = generate_blocks(n, 1)
         out.append((f"blocks-{n}", lambda inst=inst: (
@@ -213,13 +220,15 @@ def test_an_answer_store_holds_no_bound_variable():
     untyped = [(f"untyped-{i}", lambda text=text: (
         parse_theory("abducible_predicate(p/1).\n" + text), parse_goal("g")))
         for i, text in enumerate(_UNTYPED)]
-    for name, make in programs() + untyped:
+    # the recorded programs, and the NAF programs of seeds 50-199
+    inputs = dict(programs() + random_programs(200, 200) + untyped)
+    for name, make in inputs.items():
         theory, goal = make()
         solver = Solver(theory, Config())
         stream = solver.solve(goal)
         for ans in itertools.islice(stream, ANSWERS):
             for c in ans.store.active_constraints():
-                assert c == map_constraint(c, solver.subst.walk), (name, c)
+                assert c == map_constraint(c, solver.store.walk), (name, c)
         stream.close()
 
 
